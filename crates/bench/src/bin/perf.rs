@@ -1,8 +1,8 @@
 //! `perf` — macro benchmarks tracking simulator events/sec.
 //!
 //! Runs the perf-trajectory suite (single-machine Fig-4 sweep, the
-//! cluster Fig-5 combination at 1/2/8 workers, the incast fan-in, a
-//! faulty cluster run, an open-loop arrival-driven run, the KV
+//! cluster Fig-5 combination, the incast fan-in, a faulty cluster
+//! run, an open-loop arrival-driven run, the KV
 //! service under the online advisor, the far-memory tier over the
 //! remote SoC pool, and the KV service on a BF-3 rack serving from
 //! the DPA plane), printing
@@ -73,18 +73,18 @@ fn fig4_sweep() -> u64 {
 }
 
 /// Cluster scenario shared by the fig5/incast/faults macro benches: the
-/// quick horizon with six client machines (the determinism tests'
+/// quick horizon with six client machines (the cluster goldens'
 /// configuration, so the benched path is exactly the gated one).
-fn bench_cluster(workers: usize) -> ClusterScenario {
-    let mut sc = ClusterScenario::quick().with_workers(workers).with_seed(17);
+fn bench_cluster() -> ClusterScenario {
+    let mut sc = ClusterScenario::quick().with_seed(17);
     sc.cluster.clients.truncate(6);
     sc
 }
 
-/// Fig-5 flow combination (READ+WRITE on path 1, 4 KB) at `workers`
-/// worker threads. Returns events delivered across all shards.
-fn fig5_cluster(workers: usize) -> u64 {
-    let sc = bench_cluster(workers);
+/// Fig-5 flow combination (READ+WRITE on path 1, 4 KB). Returns events
+/// delivered across all shards.
+fn fig5_cluster() -> u64 {
+    let sc = bench_cluster();
     let a = ClusterStream::new(PathKind::Snic1, Verb::Read, 4 << 10, vec![0, 1, 2])
         .with_window(16)
         .with_threads(12);
@@ -96,7 +96,7 @@ fn fig5_cluster(workers: usize) -> u64 {
 
 /// Incast fan-in: six clients write 4 KB to one responder.
 fn incast() -> u64 {
-    let sc = bench_cluster(2);
+    let sc = bench_cluster();
     let stream = ClusterStream::new(PathKind::Snic1, Verb::Write, 4 << 10, (0..6).collect());
     run_cluster(&sc, &[stream]).events
 }
@@ -114,7 +114,7 @@ fn faults() -> u64 {
             slowdown: 4.0,
             extra_latency: Nanos::new(200),
         });
-    let sc = bench_cluster(2).with_faults(fault_spec);
+    let sc = bench_cluster().with_faults(fault_spec);
     let streams = vec![
         ClusterStream::new(PathKind::Snic1, Verb::Write, 4096, vec![0, 1, 2]),
         ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]),
@@ -127,7 +127,7 @@ fn faults() -> u64 {
 /// one drop-deadline) on the shared bench cluster, exercising the
 /// arrival chains, admission queues and NACK machinery.
 fn openloop() -> u64 {
-    let sc = bench_cluster(2);
+    let sc = bench_cluster();
     let a = ClusterStream::new(PathKind::Snic1, Verb::Write, 512, vec![0, 1, 2])
         .open_loop(OpenLoopSpec::poisson(6.0e6));
     let b = ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]).open_loop(
@@ -141,7 +141,7 @@ fn openloop() -> u64 {
 /// exercising the KV request routing, probe chains, the per-window
 /// observation plumbing and the epoch decision chain.
 fn kv_cluster() -> u64 {
-    let sc = bench_cluster(2);
+    let sc = bench_cluster();
     let spec = KvStreamSpec::new(
         Mix::B,
         KeyDist::Zipf(0.99),
@@ -157,7 +157,7 @@ fn kv_cluster() -> u64 {
 /// write back in the background, exercising the residency table, the
 /// SoC page caches and the FmGet/FmPut/FmResp plumbing.
 fn farmem() -> u64 {
-    let sc = bench_cluster(2);
+    let sc = bench_cluster();
     let stream =
         ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::RemoteSoc), (0..6).collect())
             .open_loop(OpenLoopSpec::poisson(2.0e6));
@@ -169,7 +169,7 @@ fn farmem() -> u64 {
 /// scratch-resident index onto the NIC cores — exercising the
 /// kick/serve/spill machinery and the dpa_* conservation counters.
 fn dpa() -> u64 {
-    let mut sc = bench_cluster(2);
+    let mut sc = bench_cluster();
     let n = sc.cluster.servers.len();
     sc.cluster.servers = vec![MachineSpec::srv_with_bluefield3_dpa(); n];
     let spec = KvStreamSpec::new(
@@ -229,9 +229,7 @@ fn main() {
     let bench = Bench::from_env(DEFAULT_SAMPLES);
     let suite: &[(&str, BenchFn)] = &[
         ("fig4_sweep", fig4_sweep),
-        ("fig5_cluster_w1", || fig5_cluster(1)),
-        ("fig5_cluster_w2", || fig5_cluster(2)),
-        ("fig5_cluster_w8", || fig5_cluster(8)),
+        ("fig5_cluster", fig5_cluster),
         ("incast", incast),
         ("faults", faults),
         ("openloop", openloop),

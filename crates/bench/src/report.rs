@@ -19,9 +19,7 @@ use crate::timing::Measurement;
 /// snapshots against this list; extend it when adding a macro bench.
 pub const EXPECTED_BENCHES: &[&str] = &[
     "fig4_sweep",
-    "fig5_cluster_w1",
-    "fig5_cluster_w2",
-    "fig5_cluster_w8",
+    "fig5_cluster",
     "incast",
     "faults",
     "openloop",

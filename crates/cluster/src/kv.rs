@@ -20,8 +20,8 @@
 //! at fixed epoch boundaries by an online policy consuming the last
 //! window's observations ([`KvWindowObs`]) — skew, load vs capacity,
 //! probe amplification and fault signals. Decisions happen at fixed
-//! simulated instants from shard-local state only, so worker-count
-//! byte-invariance is preserved.
+//! simulated instants from shard-local state only, so they never depend
+//! on other shards.
 
 use std::collections::HashMap;
 

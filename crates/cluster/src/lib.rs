@@ -1,15 +1,15 @@
-//! Rack-scale cluster runtime: a conservative-lookahead *parallel*
-//! discrete-event simulation of the paper's full testbed (Table 2 — 20
-//! ConnectX-4 client machines and 3 SmartNIC-carrying servers on one
-//! SB7890 switch).
+//! Rack-scale cluster runtime: a conservative-lookahead discrete-event
+//! simulation of the paper's full testbed (Table 2 — 20 ConnectX-4
+//! client machines and 3 SmartNIC-carrying servers on one SB7890
+//! switch).
 //!
-//! Each machine is a *shard* with its own `simnet` engine, run on a pool
-//! of worker OS threads. Shards only interact through switch messages,
-//! and the wire's one-way latency (450 ns) bounds how soon a message can
-//! be seen — the classic conservative lookahead. The runtime executes
-//! epochs of that length in parallel and merges cross-shard traffic at
-//! epoch barriers in a fixed global order, so results are **byte
-//! identical for any worker count** (see `runtime` and DESIGN.md §9).
+//! Each machine is a *shard* with its own `simnet` engine. Shards only
+//! interact through switch messages, and the wire's one-way latency
+//! (450 ns) bounds how soon a message can be seen — the classic
+//! conservative lookahead. The runtime executes epochs of that length
+//! one shard at a time and merges cross-shard traffic at each epoch end
+//! in a fixed global order, so results are **byte identical run to
+//! run** (see `runtime` and DESIGN.md §9).
 //!
 //! The entry point is [`run_cluster`] with a [`ClusterScenario`] and a
 //! set of [`ClusterStream`]s, mirroring `snic-core`'s single-machine

@@ -4,8 +4,8 @@
 //! the switch. Messages are the *only* channel between shards, and the
 //! wire's one-way latency is the runtime's conservative lookahead: a
 //! message emitted during epoch `k` can never be delivered before epoch
-//! `k + 1`, so shards simulated in parallel within one epoch cannot
-//! influence each other.
+//! `k + 1`, so shards simulated one after another within one epoch
+//! cannot influence each other.
 
 use nicsim::{Endpoint, Verb};
 use simnet::time::Nanos;
@@ -227,8 +227,8 @@ pub struct NetMsg {
 
 impl NetMsg {
     /// The deterministic global merge key: messages are arbitrated at
-    /// the switch in `(depart, src shard, seq)` order regardless of how
-    /// many worker threads produced them.
+    /// the switch in `(depart, src shard, seq)` order regardless of the
+    /// order in which shards emitted them.
     pub fn key(&self) -> (u64, ShardId, u64) {
         (self.depart.as_nanos(), self.src, self.seq)
     }

@@ -1,44 +1,30 @@
-//! Conservative-lookahead epoch-barrier executor.
+//! Conservative-lookahead epoch loop.
 //!
 //! Time is diced into epochs of length `L = SwitchFabric::lookahead()`
 //! (the wire's one-way latency). Within epoch `k` — the half-open
 //! interval `[kL, (k+1)L)` — shards cannot interact: any message emitted
 //! by an event at time `t` departs at `depart >= t` and arrives no
-//! earlier than `depart + L >= (k+1)L`, i.e. in a later epoch. So all
-//! shards run one epoch in parallel, then the main thread merges their
-//! outboxes in global `(depart, src, seq)` order, arbitrates switch
-//! ports single-threaded, and schedules the arrivals. Because both the
-//! per-epoch work and the merge order are independent of how shards are
-//! assigned to worker threads, the simulation is byte-identical for any
-//! worker count.
+//! earlier than `depart + L >= (k+1)L`, i.e. in a later epoch. So each
+//! shard runs the epoch on its own, then the driver arbitrates every
+//! message departing inside the epoch at the switch in global
+//! `(depart, src, seq)` order and schedules the arrivals.
+//!
+//! The loop is sequential. A threaded executor ran the shards of an
+//! epoch on a worker pool behind two barrier waits, but an epoch holds
+//! only ~22 events, far too little to pay for the barriers: on a 2-CPU
+//! host it ran the 23-machine rack 2–3× slower than one thread
+//! (DESIGN.md §9).
 //!
 //! Empty epochs are skipped: the driver jumps straight to the next
 //! pending instant (minimum over shard engines and undelivered
 //! messages), so wall-clock cost scales with events, not with horizon /
-//! lookahead.
-//!
-//! The hot path avoids per-epoch full scans with a lock-free cache of
-//! each shard's next event time (`AtomicU64`, `u64::MAX` = idle),
-//! refreshed by whoever last touched the shard under its lock. The
-//! cache drives three decisions, all functions of shard state alone —
-//! never of the worker count — so determinism is preserved:
-//!
-//! * `next_time` reads the cache instead of locking every shard;
-//! * only *active* shards (next event inside the epoch) are run and
-//!   have their outboxes drained — an idle shard's `run_until` would be
-//!   a stateless no-op, so skipping it is invisible;
-//! * epochs with at most one active shard run inline on the driver
-//!   thread without the two-barrier worker round-trip (the common case
-//!   when traffic is in flight and only the switch has work).
-//!
-//! The merge batches deliveries per destination — messages are
-//! arbitrated in global key order, then grouped so each destination
-//! shard is locked once per epoch — and recycles the outbox and routing
-//! buffers across epochs.
+//! lookahead. A per-shard cache of the next event time keeps that
+//! minimum, and the choice of which shards to run, free of engine
+//! peeks; an idle shard's `run_until` would be a no-op, so skipping it
+//! is invisible.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use simnet::time::Nanos;
 
@@ -46,225 +32,176 @@ use crate::msg::NetMsg;
 use crate::shard::Shard;
 use crate::switch::SwitchFabric;
 
-/// What the driver observed while running.
-pub(crate) struct RunStats {
-    /// Non-empty epochs executed.
-    pub epochs: u64,
-}
-
-type Pending = BTreeMap<(u64, usize, u64), NetMsg>;
-
 /// Cache value for a shard with no pending events. A real event at
 /// `u64::MAX` ns would alias, but horizons are bounded far below that.
 const IDLE: u64 = u64::MAX;
 
-/// Re-publishes a shard's next event time. Callers hold the shard lock;
-/// the `Relaxed` store is ordered against readers by the lock release
-/// (and the epoch barrier on the parallel path).
-fn refresh_cache(slot: &AtomicU64, shard: &Shard) {
-    let t = shard.peek_time().map_or(IDLE, |t| t.as_nanos());
-    slot.store(t, Ordering::Relaxed);
+/// A message in the pending heap. The order is `NetMsg::key()`
+/// *reversed*, turning std's max-heap into a min-heap on the merge key.
+/// Keys are unique (`seq` counts per source), so the order is total.
+struct Queued(NetMsg);
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key() == other.0.key()
+    }
 }
 
-/// The earliest instant anything can still happen: the minimum over
-/// every shard's cached next event and every undelivered message's
-/// departure. Departures must participate, otherwise the driver could
-/// skip past the epoch in which a message was due to arrive.
-fn next_time(cache: &[AtomicU64], pending: &Pending) -> Option<Nanos> {
-    let mut t = pending.keys().next().map_or(IDLE, |k| k.0);
-    for slot in cache {
-        t = t.min(slot.load(Ordering::Relaxed));
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
-    (t != IDLE).then(|| Nanos::new(t))
 }
 
-/// Barrier step: collect the outboxes of the shards that ran this epoch
-/// (in shard-index order), then arbitrate every message departing
-/// strictly before `epoch_end` in global `(depart, src, seq)` order.
-/// Messages departing later stay pending — their switch-port
-/// reservations must wait until all earlier traffic is known.
-///
-/// Routing order is the global key order (port arbitration is
-/// stateful), but deliveries are then grouped by destination so each
-/// target shard is locked exactly once; the grouping is stable, so each
-/// shard still observes its arrivals in the global order restricted to
-/// it — the exact sequence the unbatched loop produced.
-#[allow(clippy::too_many_arguments)]
-fn merge(
-    cells: &[Mutex<Shard>],
-    cache: &[AtomicU64],
-    active: &[usize],
-    switch: &mut SwitchFabric,
-    pending: &mut Pending,
-    outbox: &mut Vec<NetMsg>,
-    routed: &mut Vec<(usize, Nanos, Nanos, NetMsg)>,
-    epoch_end: Nanos,
-) {
-    for &i in active {
-        cells[i].lock().unwrap().drain_outbox(outbox);
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.key().cmp(&self.0.key())
     }
-    for m in outbox.drain(..) {
-        pending.insert(m.key(), m);
+}
+
+/// Undelivered messages, kept across epochs and popped in global
+/// `(depart, src, seq)` order.
+#[derive(Default)]
+struct Pending(BinaryHeap<Queued>);
+
+impl Pending {
+    fn push(&mut self, m: NetMsg) {
+        self.0.push(Queued(m));
     }
-    let cut = (epoch_end.as_nanos(), 0usize, 0u64);
-    let rest = pending.split_off(&cut);
-    let ready = std::mem::replace(pending, rest);
-    for (_, m) in ready {
-        // `None` means the fault plane lost the frame on the wire: the
-        // uplink reservation is burned but nothing arrives — recovery is
-        // the requester's timeout, never the switch's.
-        if let Some(d) = switch.route(&m) {
-            routed.push((m.dst, d.arrive, d.drained, m));
+
+    /// The earliest departure still waiting for the switch.
+    fn next_depart(&self) -> Option<u64> {
+        self.0.peek().map(|q| q.0.depart.as_nanos())
+    }
+
+    /// Pops the next message in key order if it departs strictly before
+    /// `end`. Later departures stay pending: their switch-port
+    /// reservations must wait until all earlier traffic is known.
+    fn pop_before(&mut self, end: u64) -> Option<NetMsg> {
+        if self.next_depart()? >= end {
+            return None;
         }
+        self.0.pop().map(|q| q.0)
     }
-    routed.sort_by_key(|r| r.0); // stable: per-destination order survives
-    let mut i = 0;
-    while i < routed.len() {
-        let dst = routed[i].0;
-        let mut shard = cells[dst].lock().unwrap();
-        while i < routed.len() && routed[i].0 == dst {
-            let (_, arrive, drained, m) = &routed[i];
-            shard.deliver(*arrive, m, *drained);
-            i += 1;
-        }
-        refresh_cache(&cache[dst], &shard);
-    }
-    routed.clear();
+}
+
+fn next_event(shard: &Shard) -> u64 {
+    shard.peek_time().map_or(IDLE, |t| t.as_nanos())
 }
 
 /// Runs the cluster until no shard has an event at or before `horizon`.
-/// `workers <= 1` uses a sequential fast path with the *same* epoch
-/// schedule, so results match the parallel path bit for bit.
-pub(crate) fn drive(
-    cells: &[Mutex<Shard>],
-    switch: &mut SwitchFabric,
-    horizon: Nanos,
-    workers: usize,
-) -> RunStats {
+/// Returns the number of non-empty epochs executed.
+pub(crate) fn drive(shards: &mut [Shard], switch: &mut SwitchFabric, horizon: Nanos) -> u64 {
     let lookahead = switch.lookahead().as_nanos().max(1);
-    let epoch_end_of = |t: Nanos| Nanos::new((t.as_nanos() / lookahead + 1) * lookahead);
-    let mut pending = Pending::new();
+    let mut next: Vec<u64> = shards.iter().map(next_event).collect();
+    let mut pending = Pending::default();
     let mut epochs = 0u64;
-    let workers = workers.clamp(1, cells.len().max(1));
 
-    let cache: Vec<AtomicU64> = cells
-        .iter()
-        .map(|cell| {
-            let shard = cell.lock().unwrap();
-            AtomicU64::new(shard.peek_time().map_or(IDLE, |t| t.as_nanos()))
-        })
-        .collect();
-    let mut active: Vec<usize> = Vec::with_capacity(cells.len());
-    let mut outbox: Vec<NetMsg> = Vec::new();
-    let mut routed: Vec<(usize, Nanos, Nanos, NetMsg)> = Vec::new();
-
-    // The active set for the epoch ending at `end`: shards whose next
-    // event lies inside it. Depends only on shard state, never on the
-    // worker assignment.
-    let collect_active = |active: &mut Vec<usize>, deadline: u64| {
-        active.clear();
-        for (i, slot) in cache.iter().enumerate() {
-            if slot.load(Ordering::Relaxed) <= deadline {
-                active.push(i);
+    loop {
+        // Departures must take part in the minimum, otherwise the driver
+        // could skip past the epoch in which a message was due to arrive.
+        let t = next
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(IDLE)
+            .min(pending.next_depart().unwrap_or(IDLE));
+        if t == IDLE || t > horizon.as_nanos() {
+            break;
+        }
+        let end = (t / lookahead + 1) * lookahead;
+        for (shard, next) in shards.iter_mut().zip(next.iter_mut()) {
+            if *next < end {
+                shard.run_until(Nanos::new(end - 1));
+                *next = next_event(shard);
+                for m in shard.drain_outbox() {
+                    pending.push(m);
+                }
             }
         }
-    };
-    let run_one = |i: usize, deadline: Nanos| {
-        let mut shard = cells[i].lock().unwrap();
-        shard.run_until(deadline);
-        refresh_cache(&cache[i], &shard);
-    };
-
-    if workers <= 1 {
-        while let Some(t) = next_time(&cache, &pending) {
-            if t > horizon {
-                break;
+        // Routing is stateful (port arbitration), so it follows the
+        // global key order; each destination therefore also sees its
+        // arrivals in that order.
+        while let Some(m) = pending.pop_before(end) {
+            // `None` means the fault plane lost the frame on the wire:
+            // the uplink reservation is burned but nothing arrives —
+            // recovery is the requester's timeout, never the switch's.
+            if let Some(d) = switch.route(&m) {
+                shards[m.dst].deliver(d.arrive, &m, d.drained);
+                next[m.dst] = next[m.dst].min(d.arrive.as_nanos());
             }
-            let end = epoch_end_of(t);
-            let deadline = Nanos::new(end.as_nanos() - 1);
-            collect_active(&mut active, deadline.as_nanos());
-            for &i in &active {
-                run_one(i, deadline);
-            }
-            merge(
-                cells,
-                &cache,
-                &active,
-                switch,
-                &mut pending,
-                &mut outbox,
-                &mut routed,
-                end,
-            );
-            epochs += 1;
         }
-        return RunStats { epochs };
+        epochs += 1;
+    }
+    epochs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::MsgKind;
+
+    fn msg(src: usize, seq: u64, depart: u64) -> NetMsg {
+        NetMsg {
+            src,
+            dst: 0,
+            seq,
+            depart: Nanos::new(depart),
+            bytes: 0,
+            kind: MsgKind::Response {
+                stream: 0,
+                thread: 0,
+                posted: Nanos::ZERO,
+                xid: 0,
+            },
+        }
     }
 
-    // Persistent workers; two barrier waits per epoch (start + done).
-    // `end_ns` broadcasts the epoch boundary; `u64::MAX` means shut down.
-    // Epochs with at most one active shard never reach the barrier: the
-    // driver runs them inline while the workers stay parked.
-    let barrier = Barrier::new(workers + 1);
-    let end_ns = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let barrier = &barrier;
-            let end_ns = &end_ns;
-            let cache = &cache;
-            scope.spawn(move || loop {
-                barrier.wait();
-                let end = end_ns.load(Ordering::SeqCst);
-                if end == u64::MAX {
-                    break;
-                }
-                // Worker `w` owns shards w, w + workers, w + 2*workers…
-                // The assignment only affects which thread runs a shard,
-                // never what the shard computes. Idle shards (cached
-                // next event past the epoch) are skipped without
-                // locking: running them would deliver nothing.
-                let mut i = w;
-                while i < cells.len() {
-                    if cache[i].load(Ordering::Relaxed) < end {
-                        let mut shard = cells[i].lock().unwrap();
-                        shard.run_until(Nanos::new(end - 1));
-                        refresh_cache(&cache[i], &shard);
-                    }
-                    i += workers;
-                }
-                barrier.wait();
-            });
+    #[test]
+    fn merge_routes_in_key_order_and_holds_later_departures() {
+        // Three shards' outboxes, each in its own emission (seq) order,
+        // pushed shard by shard as the driver drains them: the global
+        // order interleaves them by departure, then source, then seq.
+        let mut pending = Pending::default();
+        for m in [msg(2, 0, 450), msg(2, 1, 120), msg(2, 2, 900)] {
+            pending.push(m);
         }
-        while let Some(t) = next_time(&cache, &pending) {
-            if t > horizon {
-                break;
-            }
-            let end = epoch_end_of(t);
-            let deadline = Nanos::new(end.as_nanos() - 1);
-            collect_active(&mut active, deadline.as_nanos());
-            if active.len() <= 1 {
-                for &i in &active {
-                    run_one(i, deadline);
-                }
-            } else {
-                end_ns.store(end.as_nanos(), Ordering::SeqCst);
-                barrier.wait(); // release workers into the epoch
-                barrier.wait(); // wait for all shards to reach the boundary
-            }
-            merge(
-                cells,
-                &cache,
-                &active,
-                switch,
-                &mut pending,
-                &mut outbox,
-                &mut routed,
-                end,
-            );
-            epochs += 1;
+        for m in [msg(0, 5, 300), msg(0, 6, 120), msg(0, 7, 449)] {
+            pending.push(m);
         }
-        end_ns.store(u64::MAX, Ordering::SeqCst);
-        barrier.wait();
-    });
-    RunStats { epochs }
+        for m in [msg(1, 3, 120), msg(1, 4, 0)] {
+            pending.push(m);
+        }
+        let end = 450;
+        let mut routed = Vec::new();
+        while let Some(m) = pending.pop_before(end) {
+            routed.push(m.key());
+        }
+        assert_eq!(
+            routed,
+            vec![
+                (0, 1, 4),
+                (120, 0, 6),
+                (120, 1, 3),
+                (120, 2, 1),
+                (300, 0, 5),
+                (449, 0, 7),
+            ]
+        );
+        // Departing at the epoch end belongs to the next epoch.
+        assert_eq!(pending.next_depart(), Some(450));
+        // Traffic from the next epoch's run joins what was held back and
+        // is ordered with it.
+        pending.push(msg(1, 5, 450));
+        pending.push(msg(0, 8, 500));
+        let mut routed = Vec::new();
+        while let Some(m) = pending.pop_before(900) {
+            routed.push(m.key());
+        }
+        assert_eq!(routed, vec![(450, 1, 5), (450, 2, 0), (500, 0, 8)]);
+        assert_eq!(pending.next_depart(), Some(900));
+        assert!(pending.pop_before(900).is_none());
+    }
 }

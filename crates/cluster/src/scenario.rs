@@ -4,8 +4,6 @@
 //! [`ClusterSpec`] — but with every machine in its own shard and real
 //! switch-port contention between them.
 
-use std::sync::Mutex;
-
 use nicsim::{ClientMachine, Fabric, PathKind, Verb};
 use rdma_sim::doorbell::{PostCostModel, PostMode, PosterKind};
 use simnet::arrivals::{AdmissionQueue, OpenLoopSpec};
@@ -69,8 +67,9 @@ pub struct ClusterStream {
     /// When true, the stream's remote SENDs terminate at the
     /// responder's DPA plane with `addr_range` bytes of handler
     /// working state (no PCIe1 crossing; spill penalty past the DPA
-    /// scratch). Requires DPA-carrying servers; ignored for path-3
-    /// streams.
+    /// scratch). Requires a SEND verb and a DPA-carrying responder
+    /// ([`run_cluster`] rejects anything else up front); ignored for
+    /// path-3 streams.
     pub dpa: bool,
 }
 
@@ -211,9 +210,6 @@ pub struct ClusterScenario {
     pub duration: Nanos,
     /// PRNG seed.
     pub seed: u64,
-    /// Worker OS threads; `0` means one per available core. Results are
-    /// byte-identical for every value.
-    pub workers: usize,
     /// Fault-injection schedule; the default ([`FaultSpec::none`]) is
     /// inert and installs nothing anywhere.
     pub faults: FaultSpec,
@@ -234,7 +230,6 @@ impl ClusterScenario {
             warmup: Nanos::from_micros(200),
             duration: Nanos::from_millis(2),
             seed: 42,
-            workers: 0,
             faults: FaultSpec::none(),
             rc_timeout: Nanos::from_micros(10),
             rc_retry: 7,
@@ -250,9 +245,13 @@ impl ClusterScenario {
         }
     }
 
-    /// Overrides the worker-thread count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    /// Does nothing: the runtime is a single sequential epoch loop and
+    /// has no worker threads to size. Kept because the `simbench`
+    /// benchmark package, which builds outside this workspace, still
+    /// calls it; no caller inside the workspace may, since the
+    /// deprecation fails `clippy -D warnings`.
+    #[deprecated(note = "the cluster runtime is sequential; there are no workers to set")]
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -319,8 +318,6 @@ pub struct ClusterResult {
     pub epochs: u64,
     /// Messages routed through the switch.
     pub messages: u64,
-    /// Worker threads actually used.
-    pub workers: usize,
     /// Simulator events delivered across all shards — the denominator
     /// for events/sec macro benchmarks.
     pub events: u64,
@@ -343,9 +340,9 @@ impl ClusterResult {
     }
 
     /// Serializes the per-stream results. Covers every
-    /// simulation-derived quantity (worker count and wall-clock figures
-    /// are deliberately excluded), so two byte-identical dumps mean two
-    /// identical simulations — the determinism test diffs this.
+    /// simulation-derived quantity (wall-clock figures are deliberately
+    /// excluded), so two byte-identical dumps mean two identical
+    /// simulations — the cluster goldens pin this.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "stream,completions,p50_ns,p99_ns,p999_ns,goodput_bps,mops,\
@@ -377,8 +374,9 @@ impl ClusterResult {
 /// # Panics
 ///
 /// Panics if the scenario names a missing server, a stream references a
-/// missing client machine (or lists none for a remote path), or a
-/// SmartNIC path targets a server without a SmartNIC.
+/// missing client machine (or lists none for a remote path), a
+/// SmartNIC path targets a server without a SmartNIC, or a remote DPA
+/// stream is not a SEND or targets a server without a DPA plane.
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
     let n_clients = scenario.cluster.clients.len();
     let n_servers = scenario.cluster.servers.len();
@@ -387,6 +385,23 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         "scenario targets server {} but the cluster has {n_servers}",
         scenario.server
     );
+    let has_dpa = scenario.cluster.servers[scenario.server]
+        .nic
+        .smartnic()
+        .is_some_and(|s| s.dpa.is_some());
+    for stream in streams.iter().filter(|s| s.dpa && s.path.is_remote()) {
+        assert!(
+            stream.verb == Verb::Send,
+            "DPA stream '{}' must be a SEND, not a {}",
+            stream.label,
+            stream.verb.label()
+        );
+        assert!(
+            has_dpa,
+            "DPA stream '{}' targets server {}, which has no DPA plane",
+            stream.label, scenario.server
+        );
+    }
     let server_shard = n_clients + scenario.server;
     let n_shards = n_clients + n_servers;
 
@@ -403,8 +418,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     let any_stochastic = wire_faulty || scenario.faults.pcie_corrupt > 0.0;
 
     // Every shard's RNG is forked from the root by shard index, so the
-    // stream of random numbers a shard sees is independent of how many
-    // worker threads run the simulation.
+    // stream of random numbers a shard sees depends only on its index.
     let mut root = SimRng::seed(scenario.seed);
     let mut shard_rngs: Vec<SimRng> = (0..n_shards).map(|i| root.fork(i as u64)).collect();
 
@@ -593,22 +607,9 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         }
     }
 
-    let workers = if scenario.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        scenario.workers
-    };
-    let cells: Vec<Mutex<Shard>> = shards.into_iter().map(Mutex::new).collect();
-    let stats = runtime::drive(&cells, &mut switch, scenario.duration, workers);
-    let shards: Vec<Shard> = cells
-        .into_iter()
-        .map(|c| c.into_inner().expect("no shard panicked"))
-        .collect();
+    let epochs = runtime::drive(&mut shards, &mut switch, scenario.duration);
 
-    // Merge per-stream aggregates and counters in shard-index order —
-    // another fixed order, independent of the worker count.
+    // Merge per-stream aggregates and counters in shard-index order.
     let window = scenario.duration - scenario.warmup;
     let wsecs = window.as_secs_f64();
     let results: Vec<ClusterStreamResult> = streams
@@ -686,7 +687,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         shards.iter().map(|s| s.counters().forced_signals).sum(),
     );
     set("msgs_routed", switch.routed());
-    set("epochs", stats.epochs);
+    set("epochs", epochs);
     for (i, shard) in shards.iter().enumerate() {
         set(&format!("shard{i:02}_events"), shard.events_delivered());
     }
@@ -784,9 +785,8 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         streams: results,
         window,
         metrics: registry,
-        epochs: stats.epochs,
+        epochs,
         messages: switch.routed(),
-        workers,
         events: shards.iter().map(|s| s.events_delivered()).sum(),
     }
 }
@@ -821,7 +821,7 @@ mod tests {
     #[test]
     fn kv_service_runs_under_every_static_placement() {
         for d in [Design::HostRpc, Design::SocIndex, Design::OneSidedRnic] {
-            let sc = tiny().with_workers(1);
+            let sc = tiny();
             let st = ClusterStream::kv_service(kv_spec(KvPlacement::Static(d)), vec![0, 1, 2]);
             let r = run_cluster(&sc, &[st]);
             assert!(
@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn kv_dpa_placement_serves_gets_on_the_plane_and_conserves() {
-        let sc = tiny_dpa().with_workers(1);
+        let sc = tiny_dpa();
         let st = ClusterStream::kv_service(
             kv_spec(KvPlacement::Static(Design::DpaHandler)),
             vec![0, 1, 2],
@@ -870,7 +870,7 @@ mod tests {
         assert_eq!(cv(&r, "dpa_spills"), 0);
         // A DPA-less run of the same shape emits none of the counters.
         let plain = run_cluster(
-            &tiny().with_workers(1),
+            &tiny(),
             &[ClusterStream::kv_service(
                 kv_spec(KvPlacement::Static(Design::HostRpc)),
                 vec![0, 1, 2],
@@ -886,7 +886,7 @@ mod tests {
         // every completed request; small working state stays in
         // scratch, a large one spills on every serve.
         for (range, expect_spills) in [(64u64 << 10, false), (8u64 << 20, true)] {
-            let sc = tiny_dpa().with_workers(1);
+            let sc = tiny_dpa();
             let st = ClusterStream::new(PathKind::Snic1, Verb::Send, 256, vec![0, 1, 2])
                 .with_range(range)
                 .with_dpa();
@@ -904,28 +904,21 @@ mod tests {
     }
 
     #[test]
-    fn kv_online_advisor_decides_and_stays_worker_invariant() {
-        let st = || {
-            ClusterStream::kv_service(kv_spec(KvPlacement::Online(advisor_policy)), vec![0, 1, 2])
-        };
-        let a = run_cluster(&tiny().with_workers(1), &[st()]);
-        let b = run_cluster(&tiny().with_workers(3), &[st()]);
-        assert_eq!(a.to_csv(), b.to_csv());
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.messages, b.messages);
+    fn kv_online_advisor_decides() {
+        let st =
+            ClusterStream::kv_service(kv_spec(KvPlacement::Online(advisor_policy)), vec![0, 1, 2]);
+        let r = run_cluster(&tiny(), &[st]);
         // 3 servers × (700 µs / 50 µs epochs, last one past the horizon).
         assert!(
-            cv(&a, "kv_decisions") >= 3 * 10,
+            cv(&r, "kv_decisions") >= 3 * 10,
             "{}",
-            cv(&a, "kv_decisions")
+            cv(&r, "kv_decisions")
         );
-        assert_eq!(cv(&a, "kv_decisions"), cv(&b, "kv_decisions"));
-        assert_eq!(cv(&a, "kv_design_changes"), cv(&b, "kv_design_changes"));
     }
 
     #[test]
     fn kv_open_loop_conserves_ops() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st =
             ClusterStream::kv_service(kv_spec(KvPlacement::Static(Design::HostRpc)), vec![0, 1, 2])
                 .open_loop(OpenLoopSpec::poisson(2.0e6));
@@ -939,7 +932,7 @@ mod tests {
 
     #[test]
     fn single_stream_produces_throughput() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0, 1, 2]);
         let r = run_cluster(&sc, &[st]);
         assert_eq!(r.streams.len(), 1);
@@ -958,7 +951,7 @@ mod tests {
 
     #[test]
     fn path3_stream_needs_no_clients() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st = ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 256, vec![]);
         let r = run_cluster(&sc, &[st]);
         assert!(r.streams[0].completions > 1000);
@@ -967,18 +960,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_counts_do_not_change_results() {
-        let st = || ClusterStream::new(PathKind::Snic1, Verb::Write, 512, vec![0, 1, 2]);
-        let a = run_cluster(&tiny().with_workers(1), &[st()]);
-        let b = run_cluster(&tiny().with_workers(3), &[st()]);
-        assert_eq!(a.to_csv(), b.to_csv());
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.messages, b.messages);
-    }
-
-    #[test]
     fn open_loop_stream_conserves_ops() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st = ClusterStream::new(PathKind::Snic1, Verb::Write, 256, vec![0, 1, 2])
             .open_loop(OpenLoopSpec::poisson(3.0e6));
         let r = run_cluster(&sc, &[st]);
@@ -992,7 +975,7 @@ mod tests {
 
     #[test]
     fn open_loop_overload_sheds_load() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st = ClusterStream::new(PathKind::Snic1, Verb::Write, 512, vec![0, 1, 2])
             .open_loop(OpenLoopSpec::poisson(60.0e6).with_queue_cap(16));
         let r = run_cluster(&sc, &[st]);
@@ -1003,7 +986,7 @@ mod tests {
 
     #[test]
     fn open_loop_path3_runs_locally() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st = ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 256, vec![])
             .open_loop(OpenLoopSpec::poisson(2.0e6));
         let r = run_cluster(&sc, &[st]);
@@ -1016,7 +999,7 @@ mod tests {
 
     #[test]
     fn farmem_local_runs_and_conserves_ops() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st = ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::LocalSoc), vec![])
             .open_loop(OpenLoopSpec::poisson(2.0e6));
         let r = run_cluster(&sc, &[st]);
@@ -1036,7 +1019,7 @@ mod tests {
 
     #[test]
     fn farmem_remote_runs_and_conserves_ops() {
-        let sc = tiny().with_workers(1);
+        let sc = tiny();
         let st =
             ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::RemoteSoc), vec![0, 1, 2])
                 .open_loop(OpenLoopSpec::poisson(2.0e6));
@@ -1055,7 +1038,7 @@ mod tests {
 
     #[test]
     fn farmem_and_kv_mix_under_pcie_faults() {
-        let mut sc = tiny().with_workers(1);
+        let mut sc = tiny();
         sc.faults = FaultSpec::none().with_pcie_corrupt(0.05);
         let kv =
             ClusterStream::kv_service(kv_spec(KvPlacement::Static(Design::SocIndex)), vec![0, 1]);
@@ -1073,18 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn farmem_worker_counts_do_not_change_results() {
-        let st = || {
-            ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::RemoteSoc), vec![0, 1, 2])
-                .open_loop(OpenLoopSpec::poisson(1.5e6))
-        };
-        let a = run_cluster(&tiny().with_workers(1), &[st()]);
-        let b = run_cluster(&tiny().with_workers(3), &[st()]);
-        assert_eq!(a.to_csv(), b.to_csv());
-        assert_eq!(a.messages, b.messages);
-    }
-
-    #[test]
     #[should_panic(expected = "local far memory")]
     fn local_farmem_rejects_clients() {
         let _ = ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::LocalSoc), vec![0]);
@@ -1096,6 +1067,20 @@ mod tests {
         let sc = tiny();
         let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![99]);
         run_cluster(&sc, &[st]);
+    }
+
+    #[test]
+    #[should_panic(expected = "DPA stream 'SNIC(2) READ' must be a SEND, not a READ")]
+    fn dpa_stream_rejects_non_send_verbs() {
+        let st = ClusterStream::new(PathKind::Snic2, Verb::Read, 64, vec![0, 1, 2]).with_dpa();
+        run_cluster(&tiny_dpa(), &[st]);
+    }
+
+    #[test]
+    #[should_panic(expected = "DPA stream 'SNIC(1) SEND' targets server 0, which has no DPA plane")]
+    fn dpa_stream_rejects_servers_without_the_plane() {
+        let st = ClusterStream::new(PathKind::Snic1, Verb::Send, 256, vec![0, 1, 2]).with_dpa();
+        run_cluster(&tiny(), &[st]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! a full `nicsim::Fabric` (with zero embedded clients — real clients
 //! live in their own shards) and answers inbound requests, plus hosts
 //! path-3 streams that never leave the machine. Shards communicate only
-//! through [`NetMsg`]s collected at epoch barriers, which is what makes
-//! them safe to simulate on parallel OS threads.
+//! through [`NetMsg`]s collected at epoch boundaries, which is what lets
+//! the runtime run each shard's epoch on its own.
 
 use std::collections::HashMap;
 
@@ -77,7 +77,7 @@ pub(crate) enum Ev {
     /// A KV epoch boundary on a server shard: the online advisor closes
     /// its observation window and re-decides the index placement. Fires
     /// at fixed simulated instants from shard-local state only, so
-    /// worker-count byte-invariance is preserved.
+    /// re-decisions never depend on other shards.
     KvEpoch,
 }
 
@@ -532,12 +532,11 @@ impl Shard {
         self.engine.delivered()
     }
 
-    /// Drains the messages emitted since the last barrier into `into`,
-    /// preserving emission order. Both allocations are kept, so the
-    /// runtime's merge buffer and this outbox stop churning the
+    /// Drains the messages emitted since the last epoch, in emission
+    /// order. The outbox keeps its allocation, so it stops churning the
     /// allocator once the cluster reaches steady state.
-    pub(crate) fn drain_outbox(&mut self, into: &mut Vec<NetMsg>) {
-        into.append(&mut self.outbox);
+    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, NetMsg> {
+        self.outbox.drain(..)
     }
 
     /// Schedules a switch-delivered message into the shard's engine.
@@ -1975,8 +1974,8 @@ impl Shard {
                     // Online advisor: close the observation window,
                     // re-decide the placement, arm the next epoch. This
                     // reads and writes only shard-local state at a fixed
-                    // simulated instant, so re-decisions are identical
-                    // for any worker count.
+                    // simulated instant, so re-decisions never depend
+                    // on other shards.
                     let kv = kv_server
                         .as_mut()
                         .expect("KV epochs only fire on KV server shards");

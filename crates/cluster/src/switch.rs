@@ -4,8 +4,7 @@
 //! switch port*, with each machine bonding [`WireSpec::ports_for`] ports
 //! (a 200 Gbps NIC gets two 100 Gbps ports, a ConnectX-4 one). Messages
 //! are arbitrated in global `(depart, src, seq)` order by the runtime's
-//! merge step, so reservations here are deterministic for any worker
-//! count. Cut-through: a message becomes visible at the destination when
+//! merge step, so reservations here are deterministic. Cut-through: a message becomes visible at the destination when
 //! its downlink reservation *starts*, but the completion may not precede
 //! the downlink *finish* (the full transfer must have drained).
 
@@ -113,7 +112,7 @@ impl SwitchFabric {
     /// the fault plane loses the frame. A dropped frame still burns its
     /// uplink reservation (it left the source NIC before dying) but
     /// never touches the downlink. The verdict is a pure function of
-    /// `(src, seq)`, so it is identical for every worker count.
+    /// `(src, seq)`, so it does not depend on routing order.
     ///
     /// # Panics
     ///

@@ -4,7 +4,7 @@
 //! hit a small, Zipf-skewed hot set; the remainder scatter uniformly
 //! over the cold tail. Built on the forked-RNG discipline of
 //! `simnet::arrivals` — each stream owns a `SimRng` fork, so the trace
-//! is a pure function of the scenario seed regardless of worker count.
+//! is a pure function of the scenario seed.
 
 use simnet::rng::{SimRng, Zipf};
 

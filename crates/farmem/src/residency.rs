@@ -14,7 +14,7 @@
 //!
 //! Recency order is kept in a `BTreeMap` keyed by a monotonic touch
 //! tick — never by HashMap iteration — so eviction and aging decisions
-//! are identical across runs and worker counts.
+//! are identical across runs.
 
 use std::collections::{BTreeMap, HashMap};
 

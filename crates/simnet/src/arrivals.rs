@@ -20,7 +20,7 @@
 //! arrival stream (arrivals carry a user id), so one client shard can
 //! model millions of users. Everything is driven by [`SimRng`]: arrival
 //! schedules are pure functions of the seed, which preserves the cluster
-//! runtime's worker-count determinism.
+//! runtime's determinism.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

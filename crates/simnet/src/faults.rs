@@ -11,9 +11,8 @@
 //! * **Order independence.** Every stochastic verdict is a pure hash of
 //!   `(seed, fault key)` via SplitMix64 — there is no shared RNG stream
 //!   whose state would depend on the order in which requests are
-//!   simulated. Cluster shards running under any worker count therefore
-//!   see identical verdicts, preserving the runtime's worker-count
-//!   determinism (see `cluster::runtime`).
+//!   simulated. Cluster shards therefore see identical verdicts whatever
+//!   order the runtime runs them in (see `cluster::runtime`).
 //! * **Zero cost when off.** An inert spec ([`FaultSpec::is_inert`])
 //!   installs no plane at all, so the healthy-path simulation performs
 //!   no hashing, no extra branches inside resource reservations, and no

@@ -14,27 +14,26 @@ cargo test -q --workspace --offline
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# The parallel cluster runtime must actually prove worker-count
-# invariance — fault-free, with the fault plane active, under open-loop
-# arrival chains, with the KV service's online advisor re-placing the
-# index, with the far-memory tier promoting/demoting pages, AND with
-# the BF-3 DPA plane serving gets: run the six dedicated tests by
-# name and refuse a run where the filter silently matched anything else (a rename would otherwise turn the
-# gate into a no-op).
+# The cluster runtime's simulated output is pinned byte for byte: six
+# rack scenarios — fault-free, with the fault plane active, under
+# open-loop arrival chains, with the KV service's online advisor
+# re-placing the index, with the far-memory tier promoting/demoting
+# pages, AND with the BF-3 DPA plane serving gets — each compare their
+# CSV and full metrics registry against a golden under tests/golden/.
+# Run the six by name and refuse a run where the filter silently matched
+# anything else (a rename would otherwise turn the gate into a no-op).
 det_out=$(cargo test --release --offline -p offpath-smartnic --test determinism \
-    cluster_worker_count_invariance 2>&1) || {
+    cluster_golden_ 2>&1) || {
     echo "$det_out"
-    echo "ci.sh: cluster determinism tests FAILED" >&2
+    echo "ci.sh: cluster golden tests FAILED" >&2
     exit 1
 }
 if ! grep -q "6 passed" <<<"$det_out"; then
     echo "$det_out"
-    echo "ci.sh: expected exactly cluster_worker_count_invariance +" \
-        "cluster_worker_count_invariance_with_faults +" \
-        "cluster_worker_count_invariance_openloop +" \
-        "cluster_worker_count_invariance_kv +" \
-        "cluster_worker_count_invariance_farmem +" \
-        "cluster_worker_count_invariance_dpa (filtered out or renamed?)" >&2
+    echo "ci.sh: expected exactly cluster_golden_mixed_paths +" \
+        "cluster_golden_with_faults + cluster_golden_openloop +" \
+        "cluster_golden_kv + cluster_golden_farmem +" \
+        "cluster_golden_dpa (filtered out or renamed?)" >&2
     exit 1
 fi
 
@@ -59,4 +58,4 @@ BENCH_SAMPLES=3 BENCH_WARMUP=0 cargo run --release --offline -p snic-bench \
     --bin perf -- --out "$bench_snap"
 cargo run --release --offline -p snic-bench --bin perf -- --check "$bench_snap"
 
-echo "ci.sh: build + tests + fmt + clippy + cluster determinism + bench smoke all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy + cluster goldens + bench smoke all green (offline)"

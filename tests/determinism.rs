@@ -1,6 +1,8 @@
 //! Whole-stack determinism: identical seeds produce bit-identical
-//! results across the harness, the KV store and the figure pipelines.
+//! results across the harness, the KV store, the figure pipelines and
+//! the cluster runtime (the latter pinned to byte goldens).
 
+use offpath_smartnic::cluster::{run_cluster, ClusterResult, ClusterScenario, ClusterStream};
 use offpath_smartnic::nicsim::{PathKind, Verb};
 use offpath_smartnic::simnet::rng::SimRng;
 use offpath_smartnic::simnet::time::Nanos;
@@ -197,50 +199,6 @@ fn figure_pipeline_deterministic() {
 }
 
 #[test]
-fn cluster_worker_count_invariance() {
-    // The tentpole property of the parallel cluster runtime: the same
-    // scenario run on 1, 2 and 8 worker threads produces byte-identical
-    // serialized artifacts and an identical metrics registry. A mix of
-    // remote streams (cross-shard traffic through the switch) and a
-    // path-3 stream (server-shard-local) exercises both codepaths.
-    use offpath_smartnic::cluster::{run_cluster, ClusterScenario, ClusterStream};
-
-    let run = |workers: usize| {
-        let mut sc = ClusterScenario::quick().with_workers(workers).with_seed(17);
-        sc.cluster.clients.truncate(6);
-        let streams = vec![
-            ClusterStream::new(PathKind::Snic1, Verb::Write, 4096, vec![0, 1, 2]),
-            ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]),
-            ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 1024, vec![]),
-        ];
-        run_cluster(&sc, &streams)
-    };
-    let a = run(1);
-    let b = run(2);
-    let c = run(8);
-    assert!(
-        a.streams.iter().all(|s| s.completions > 100),
-        "scenario too idle to prove anything"
-    );
-    assert!(a.messages > 1000, "too little cross-shard traffic");
-
-    for (other, n) in [(&b, 2), (&c, 8)] {
-        assert_eq!(
-            a.to_csv().as_bytes(),
-            other.to_csv().as_bytes(),
-            "CSV diverged between 1 and {n} workers:\n{}\nvs\n{}",
-            a.to_csv(),
-            other.to_csv()
-        );
-        assert_eq!(a.epochs, other.epochs, "epoch schedule diverged");
-        assert_eq!(a.messages, other.messages, "message count diverged");
-        let ca: Vec<(&str, u64)> = a.metrics.counters().collect();
-        let co: Vec<(&str, u64)> = other.metrics.counters().collect();
-        assert_eq!(ca, co, "metrics registry diverged at {n} workers");
-    }
-}
-
-#[test]
 fn inert_fault_spec_is_byte_identical_to_no_faults() {
     // The zero-cost guarantee: a scenario carrying an explicitly inert
     // FaultSpec must produce byte-identical CSV and metrics to the
@@ -271,11 +229,10 @@ fn inert_fault_spec_is_byte_identical_to_no_faults() {
 
 #[test]
 fn cluster_inert_fault_spec_is_byte_identical() {
-    use offpath_smartnic::cluster::{run_cluster, ClusterScenario, ClusterStream};
     use offpath_smartnic::simnet::faults::FaultSpec;
 
     let run = |sc: ClusterScenario| {
-        let mut sc = sc.with_workers(1).with_seed(5);
+        let mut sc = sc.with_seed(5);
         sc.cluster.clients.truncate(3);
         let streams = vec![ClusterStream::new(
             PathKind::Snic1,
@@ -294,257 +251,6 @@ fn cluster_inert_fault_spec_is_byte_identical() {
 }
 
 #[test]
-fn cluster_worker_count_invariance_with_faults() {
-    // Determinism must survive an *active* fault plane: wire loss drops
-    // frames at the switch, requester timeouts retransmit, and a PCIe
-    // degradation window derates the responder — and the results must
-    // still be byte-identical for every worker count, because every
-    // verdict is a pure function of (seed, src, seq), never of thread
-    // scheduling.
-    use offpath_smartnic::cluster::{run_cluster, ClusterScenario, ClusterStream};
-    use offpath_smartnic::simnet::faults::{DegradedWindow, FaultSpec};
-
-    let run = |workers: usize| {
-        let faults = FaultSpec::none()
-            .with_seed(99)
-            .with_wire_loss(0.005)
-            .with_pcie_corrupt(0.01)
-            .with_pcie_window(DegradedWindow {
-                from: Nanos::from_micros(200),
-                to: Nanos::from_micros(400),
-                slowdown: 4.0,
-                extra_latency: Nanos::new(200),
-            });
-        let mut sc = ClusterScenario::quick()
-            .with_workers(workers)
-            .with_seed(17)
-            .with_faults(faults);
-        sc.cluster.clients.truncate(6);
-        let streams = vec![
-            ClusterStream::new(PathKind::Snic1, Verb::Write, 4096, vec![0, 1, 2]),
-            ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]),
-            ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 1024, vec![]),
-        ];
-        run_cluster(&sc, &streams)
-    };
-    let a = run(1);
-    let b = run(2);
-    let c = run(8);
-    let count = |r: &offpath_smartnic::cluster::ClusterResult, name: &str| {
-        r.metrics
-            .counters()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    assert!(
-        count(&a, "rc_retransmits") > 0,
-        "fault plane never fired; the test proves nothing"
-    );
-    assert!(count(&a, "msgs_dropped") > 0, "no frames were dropped");
-    for (other, n) in [(&b, 2), (&c, 8)] {
-        assert_eq!(
-            a.to_csv().as_bytes(),
-            other.to_csv().as_bytes(),
-            "CSV diverged between 1 and {n} workers under faults"
-        );
-        assert_eq!(a.epochs, other.epochs, "epoch schedule diverged");
-        assert_eq!(a.messages, other.messages, "message count diverged");
-        let ca: Vec<(&str, u64)> = a.metrics.counters().collect();
-        let co: Vec<(&str, u64)> = other.metrics.counters().collect();
-        assert_eq!(ca, co, "metrics registry diverged at {n} workers");
-    }
-}
-
-#[test]
-fn cluster_worker_count_invariance_openloop() {
-    // Open-loop arrival chains must be just as worker-count-invariant as
-    // the closed loop: the Poisson chains are forked per stream index,
-    // admission verdicts depend only on committed service starts, and
-    // drop NACKs ride the same deterministic message plane. Overload one
-    // stream so drops (the newest codepath) demonstrably fire.
-    use offpath_smartnic::cluster::{run_cluster, ClusterScenario, ClusterStream};
-    use offpath_smartnic::simnet::arrivals::{DropPolicy, OpenLoopSpec};
-
-    let run = |workers: usize| {
-        let mut sc = ClusterScenario::quick().with_workers(workers).with_seed(17);
-        sc.cluster.clients.truncate(6);
-        let streams = vec![
-            ClusterStream::new(PathKind::Snic1, Verb::Write, 512, vec![0, 1, 2])
-                .open_loop(OpenLoopSpec::poisson(60.0e6).with_queue_cap(16)),
-            ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]).open_loop(
-                OpenLoopSpec::poisson(2.0e6)
-                    .with_policy(DropPolicy::DropDeadline(Nanos::from_micros(20))),
-            ),
-            ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 1024, vec![])
-                .open_loop(OpenLoopSpec::poisson(2.0e6)),
-        ];
-        run_cluster(&sc, &streams)
-    };
-    let a = run(1);
-    let b = run(2);
-    let c = run(8);
-    let count = |r: &offpath_smartnic::cluster::ClusterResult, name: &str| {
-        r.metrics
-            .counters()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    // Non-trivial: arrivals were generated, completions happened, and the
-    // overloaded stream actually shed load.
-    assert!(a.streams.iter().all(|s| s.generated > 100));
-    assert!(a.streams[0].dropped > 0, "overload never dropped");
-    // Conservation holds on the registry the workers merged.
-    assert_eq!(
-        count(&a, "openloop_generated"),
-        count(&a, "openloop_completed")
-            + count(&a, "openloop_dropped")
-            + count(&a, "openloop_inflight")
-    );
-    for (other, n) in [(&b, 2), (&c, 8)] {
-        assert_eq!(
-            a.to_csv().as_bytes(),
-            other.to_csv().as_bytes(),
-            "open-loop CSV diverged between 1 and {n} workers:\n{}\nvs\n{}",
-            a.to_csv(),
-            other.to_csv()
-        );
-        assert_eq!(a.epochs, other.epochs, "epoch schedule diverged");
-        assert_eq!(a.messages, other.messages, "message count diverged");
-        let ca: Vec<(&str, u64)> = a.metrics.counters().collect();
-        let co: Vec<(&str, u64)> = other.metrics.counters().collect();
-        assert_eq!(ca, co, "metrics registry diverged at {n} workers");
-    }
-}
-
-#[test]
-fn cluster_worker_count_invariance_kv() {
-    // The KV service must preserve the invariance with the *online
-    // advisor* live: per-server placement re-decisions happen at fixed
-    // epoch instants from shard-local window state, multi-trip probe
-    // chains ride the deterministic message plane, and Zipf key draws
-    // come from per-shard forked RNGs. Load the service hard enough
-    // (with skew) that the advisor demonstrably re-places the index,
-    // then demand byte-identical artifacts at 1, 2 and 8 workers.
-    use offpath_smartnic::cluster::{
-        advisor_policy, run_cluster, ClusterScenario, ClusterStream, KvPlacement, KvStreamSpec,
-    };
-    use offpath_smartnic::kvstore::{KeyDist, Mix};
-    use offpath_smartnic::simnet::arrivals::OpenLoopSpec;
-
-    let run = |workers: usize| {
-        let mut sc = ClusterScenario::quick().with_workers(workers).with_seed(17);
-        sc.cluster.clients.truncate(6);
-        let spec = KvStreamSpec::new(
-            Mix::B,
-            KeyDist::Zipf(0.99),
-            KvPlacement::Online(advisor_policy),
-        );
-        let stream = ClusterStream::kv_service(spec, (0..6).collect())
-            .open_loop(OpenLoopSpec::poisson(16.0e6));
-        run_cluster(&sc, &[stream])
-    };
-    let a = run(1);
-    let b = run(2);
-    let c = run(8);
-    let count = |r: &offpath_smartnic::cluster::ClusterResult, name: &str| {
-        r.metrics
-            .counters()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    // Non-trivial: the service served both op kinds and the online
-    // advisor actually moved the index at least once somewhere.
-    assert!(count(&a, "kv_gets") > 1000, "{}", count(&a, "kv_gets"));
-    assert!(count(&a, "kv_puts") > 0);
-    assert!(count(&a, "kv_decisions") > 0);
-    assert!(
-        count(&a, "kv_design_changes") > 0,
-        "load never forced a re-placement; the test proves nothing"
-    );
-    for (other, n) in [(&b, 2), (&c, 8)] {
-        assert_eq!(
-            a.to_csv().as_bytes(),
-            other.to_csv().as_bytes(),
-            "KV CSV diverged between 1 and {n} workers:\n{}\nvs\n{}",
-            a.to_csv(),
-            other.to_csv()
-        );
-        assert_eq!(a.epochs, other.epochs, "epoch schedule diverged");
-        assert_eq!(a.messages, other.messages, "message count diverged");
-        let ca: Vec<(&str, u64)> = a.metrics.counters().collect();
-        let co: Vec<(&str, u64)> = other.metrics.counters().collect();
-        assert_eq!(ca, co, "metrics registry diverged at {n} workers");
-    }
-}
-
-#[test]
-fn cluster_worker_count_invariance_farmem() {
-    // The far-memory tier must preserve the invariance with its whole
-    // lifecycle live: page-access draws from per-shard forked RNGs,
-    // miss-triggered promotions riding the message plane, age-based
-    // demotions sweeping at completion instants, and background FmPut
-    // write-backs that the access stream never waits on. Run the
-    // remote pool hot enough that promotions *and* demotions both
-    // happen, then demand byte-identical artifacts at 1, 2 and 8
-    // workers.
-    use offpath_smartnic::cluster::{run_cluster, ClusterScenario, ClusterStream};
-    use offpath_smartnic::farmem::{FmPlacement, FmStreamSpec};
-    use offpath_smartnic::simnet::arrivals::OpenLoopSpec;
-
-    let run = |workers: usize| {
-        let mut sc = ClusterScenario::quick().with_workers(workers).with_seed(29);
-        sc.cluster.clients.truncate(6);
-        let stream =
-            ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::RemoteSoc), (0..6).collect())
-                .open_loop(OpenLoopSpec::poisson(2.0e6));
-        run_cluster(&sc, &[stream])
-    };
-    let a = run(1);
-    let b = run(2);
-    let c = run(8);
-    let count = |r: &offpath_smartnic::cluster::ClusterResult, name: &str| {
-        r.metrics
-            .counters()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    // Non-trivial: the residency machinery demonstrably cycled pages
-    // both ways and every generated access is accounted for.
-    assert!(
-        count(&a, "fm_accesses") > 500,
-        "{}",
-        count(&a, "fm_accesses")
-    );
-    assert!(count(&a, "fm_promotes") > 0, "no promotion ever completed");
-    assert!(count(&a, "fm_demotions") > 0, "no page ever aged out");
-    let s = &a.streams[0];
-    assert_eq!(s.dropped, 0, "far-memory streams have no admission queue");
-    assert_eq!(
-        s.generated,
-        s.completed_total + s.inflight,
-        "conservation: generated == completed + inflight"
-    );
-    for (other, n) in [(&b, 2), (&c, 8)] {
-        assert_eq!(
-            a.to_csv().as_bytes(),
-            other.to_csv().as_bytes(),
-            "far-memory CSV diverged between 1 and {n} workers:\n{}\nvs\n{}",
-            a.to_csv(),
-            other.to_csv()
-        );
-        assert_eq!(a.epochs, other.epochs, "epoch schedule diverged");
-        assert_eq!(a.messages, other.messages, "message count diverged");
-        let ca: Vec<(&str, u64)> = a.metrics.counters().collect();
-        let co: Vec<(&str, u64)> = other.metrics.counters().collect();
-        assert_eq!(ca, co, "metrics registry diverged at {n} workers");
-    }
-}
-
-#[test]
 fn kvstore_deterministic() {
     use offpath_smartnic::kvstore::{run_gets, Design, KeyDist, KvConfig};
     let cfg = KvConfig {
@@ -560,74 +266,212 @@ fn kvstore_deterministic() {
     assert_eq!(a.gets_per_sec, b.gets_per_sec);
 }
 
+// ---------------------------------------------------------------------
+// Cluster goldens: six rack scenarios, each pinned byte for byte to a
+// file under `tests/golden/`. A golden holds `ClusterResult::to_csv()`
+// followed by every registry counter (epochs and routed messages
+// included), so any change to the epoch schedule, the switch's routing
+// order or a shard's delivery order shows up as a diff. The files are
+// never rewritten by the tests; a change that is meant to move
+// simulated output must replace them by hand and say why.
+// ---------------------------------------------------------------------
+
+/// The golden's byte form: the CSV, then one `name value` line per
+/// registry counter in registration order.
+fn cluster_dump(r: &ClusterResult) -> String {
+    let mut out = r.to_csv();
+    for (name, v) in r.metrics.counters() {
+        out.push_str(&format!("{name} {v}\n"));
+    }
+    out
+}
+
+/// Compares a run against `tests/golden/<name>.txt`.
+fn assert_golden(r: &ClusterResult, name: &str) {
+    let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let got = cluster_dump(r);
+    assert!(
+        got == golden,
+        "cluster golden {name} diverged:\n--- golden\n{golden}\n--- run\n{got}"
+    );
+}
+
+fn count(r: &ClusterResult, name: &str) -> u64 {
+    r.metrics.counter_value(name).unwrap_or(0)
+}
+
+/// Six clients of the paper testbed at the quick duration.
+fn six_clients(seed: u64) -> ClusterScenario {
+    let mut sc = ClusterScenario::quick().with_seed(seed);
+    sc.cluster.clients.truncate(6);
+    sc
+}
+
 #[test]
-fn cluster_worker_count_invariance_dpa() {
-    // The BF-3 DPA plane must preserve the invariance with its whole
-    // serving path live: the online advisor observing per-window DPA
-    // capacity signals, gets terminating on the NIC-resident cores
-    // (kick + handle, no PCIe1 crossing), and the scratch/spill
-    // accounting feeding the dpa_* conservation counters. A
-    // scratch-resident table under 2x load makes the advisor move the
-    // index onto the plane; demand byte-identical artifacts at 1, 2
-    // and 8 workers.
-    use offpath_smartnic::cluster::{
-        advisor_policy, run_cluster, ClusterScenario, ClusterStream, KvPlacement, KvStreamSpec,
-    };
+fn cluster_golden_mixed_paths() {
+    // Remote streams (cross-shard traffic through the switch) and a
+    // path-3 stream (server-shard-local) exercise both codepaths.
+    let streams = [
+        ClusterStream::new(PathKind::Snic1, Verb::Write, 4096, vec![0, 1, 2]),
+        ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]),
+        ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 1024, vec![]),
+    ];
+    let r = run_cluster(&six_clients(17), &streams);
+    assert!(
+        r.streams.iter().all(|s| s.completions > 100),
+        "scenario too idle to prove anything"
+    );
+    assert!(r.messages > 1000, "too little cross-shard traffic");
+    assert_golden(&r, "cluster_mixed_paths");
+}
+
+#[test]
+fn cluster_golden_with_faults() {
+    // An *active* fault plane: wire loss drops frames at the switch,
+    // requester timeouts retransmit, and a PCIe degradation window
+    // derates the responder. Every verdict is a pure function of
+    // (seed, src, seq), so the bytes are as fixed as the fault-free run's.
+    use offpath_smartnic::simnet::faults::{DegradedWindow, FaultSpec};
+
+    let faults = FaultSpec::none()
+        .with_seed(99)
+        .with_wire_loss(0.005)
+        .with_pcie_corrupt(0.01)
+        .with_pcie_window(DegradedWindow {
+            from: Nanos::from_micros(200),
+            to: Nanos::from_micros(400),
+            slowdown: 4.0,
+            extra_latency: Nanos::new(200),
+        });
+    let streams = [
+        ClusterStream::new(PathKind::Snic1, Verb::Write, 4096, vec![0, 1, 2]),
+        ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]),
+        ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 1024, vec![]),
+    ];
+    let r = run_cluster(&six_clients(17).with_faults(faults), &streams);
+    assert!(
+        count(&r, "rc_retransmits") > 0,
+        "fault plane never fired; the test proves nothing"
+    );
+    assert!(count(&r, "msgs_dropped") > 0, "no frames were dropped");
+    assert_golden(&r, "cluster_with_faults");
+}
+
+#[test]
+fn cluster_golden_openloop() {
+    // Open-loop arrival chains, admission verdicts and drop NACKs. One
+    // stream is overloaded so drops demonstrably fire.
+    use offpath_smartnic::simnet::arrivals::{DropPolicy, OpenLoopSpec};
+
+    let streams = [
+        ClusterStream::new(PathKind::Snic1, Verb::Write, 512, vec![0, 1, 2])
+            .open_loop(OpenLoopSpec::poisson(60.0e6).with_queue_cap(16)),
+        ClusterStream::new(PathKind::Snic2, Verb::Read, 256, vec![3, 4, 5]).open_loop(
+            OpenLoopSpec::poisson(2.0e6)
+                .with_policy(DropPolicy::DropDeadline(Nanos::from_micros(20))),
+        ),
+        ClusterStream::new(PathKind::Snic3H2S, Verb::Write, 1024, vec![])
+            .open_loop(OpenLoopSpec::poisson(2.0e6)),
+    ];
+    let r = run_cluster(&six_clients(17), &streams);
+    assert!(r.streams.iter().all(|s| s.generated > 100));
+    assert!(r.streams[0].dropped > 0, "overload never dropped");
+    assert_eq!(
+        count(&r, "openloop_generated"),
+        count(&r, "openloop_completed")
+            + count(&r, "openloop_dropped")
+            + count(&r, "openloop_inflight")
+    );
+    assert_golden(&r, "cluster_openloop");
+}
+
+#[test]
+fn cluster_golden_kv() {
+    // The KV service with the online advisor live: skewed load heavy
+    // enough that the advisor re-places the index at least once.
+    use offpath_smartnic::cluster::{advisor_policy, KvPlacement, KvStreamSpec};
+    use offpath_smartnic::kvstore::{KeyDist, Mix};
+    use offpath_smartnic::simnet::arrivals::OpenLoopSpec;
+
+    let spec = KvStreamSpec::new(
+        Mix::B,
+        KeyDist::Zipf(0.99),
+        KvPlacement::Online(advisor_policy),
+    );
+    let stream =
+        ClusterStream::kv_service(spec, (0..6).collect()).open_loop(OpenLoopSpec::poisson(16.0e6));
+    let r = run_cluster(&six_clients(17), &[stream]);
+    assert!(count(&r, "kv_gets") > 1000, "{}", count(&r, "kv_gets"));
+    assert!(count(&r, "kv_puts") > 0);
+    assert!(count(&r, "kv_decisions") > 0);
+    assert!(
+        count(&r, "kv_design_changes") > 0,
+        "load never forced a re-placement; the test proves nothing"
+    );
+    assert_golden(&r, "cluster_kv");
+}
+
+#[test]
+fn cluster_golden_farmem() {
+    // The far-memory tier's whole lifecycle: promotions over the
+    // message plane, age-based demotions and background write-backs.
+    use offpath_smartnic::farmem::{FmPlacement, FmStreamSpec};
+    use offpath_smartnic::simnet::arrivals::OpenLoopSpec;
+
+    let stream =
+        ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::RemoteSoc), (0..6).collect())
+            .open_loop(OpenLoopSpec::poisson(2.0e6));
+    let r = run_cluster(&six_clients(29), &[stream]);
+    assert!(
+        count(&r, "fm_accesses") > 500,
+        "{}",
+        count(&r, "fm_accesses")
+    );
+    assert!(count(&r, "fm_promotes") > 0, "no promotion ever completed");
+    assert!(count(&r, "fm_demotions") > 0, "no page ever aged out");
+    let s = &r.streams[0];
+    assert_eq!(s.dropped, 0, "far-memory streams have no admission queue");
+    assert_eq!(
+        s.generated,
+        s.completed_total + s.inflight,
+        "conservation: generated == completed + inflight"
+    );
+    assert_golden(&r, "cluster_farmem");
+}
+
+#[test]
+fn cluster_golden_dpa() {
+    // The BF-3 DPA plane: a scratch-resident table under 2x load makes
+    // the online advisor move the index onto the plane.
+    use offpath_smartnic::cluster::{advisor_policy, KvPlacement, KvStreamSpec};
     use offpath_smartnic::kvstore::{KeyDist, Mix};
     use offpath_smartnic::simnet::arrivals::OpenLoopSpec;
     use offpath_smartnic::topology::MachineSpec;
 
-    let run = |workers: usize| {
-        let mut sc = ClusterScenario::quick().with_workers(workers).with_seed(23);
-        sc.cluster.clients.truncate(6);
-        let n = sc.cluster.servers.len();
-        sc.cluster.servers = vec![MachineSpec::srv_with_bluefield3_dpa(); n];
-        let spec = KvStreamSpec::new(
-            Mix::C,
-            KeyDist::Uniform,
-            KvPlacement::Online(advisor_policy),
-        )
-        .with_keys(500)
-        .with_value_size(64);
-        let stream = ClusterStream::kv_service(spec, (0..6).collect())
-            .open_loop(OpenLoopSpec::poisson(16.0e6));
-        run_cluster(&sc, &[stream])
-    };
-    let a = run(1);
-    let b = run(2);
-    let c = run(8);
-    let count = |r: &offpath_smartnic::cluster::ClusterResult, name: &str| {
-        r.metrics
-            .counters()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    // Non-trivial: the advisor demonstrably moved the index onto the
-    // DPA plane, and the plane's accounting conserves every serve.
-    assert!(count(&a, "kv_gets") > 1000, "{}", count(&a, "kv_gets"));
+    let mut sc = six_clients(23);
+    let n = sc.cluster.servers.len();
+    sc.cluster.servers = vec![MachineSpec::srv_with_bluefield3_dpa(); n];
+    let spec = KvStreamSpec::new(
+        Mix::C,
+        KeyDist::Uniform,
+        KvPlacement::Online(advisor_policy),
+    )
+    .with_keys(500)
+    .with_value_size(64);
+    let stream =
+        ClusterStream::kv_service(spec, (0..6).collect()).open_loop(OpenLoopSpec::poisson(16.0e6));
+    let r = run_cluster(&sc, &[stream]);
+    assert!(count(&r, "kv_gets") > 1000, "{}", count(&r, "kv_gets"));
     assert!(
-        count(&a, "kv_dpa_gets") > 0,
+        count(&r, "kv_dpa_gets") > 0,
         "load never moved the index onto the DPA; the test proves nothing"
     );
     assert_eq!(
-        count(&a, "dpa_served"),
-        count(&a, "dpa_scratch_hits") + count(&a, "dpa_spills"),
+        count(&r, "dpa_served"),
+        count(&r, "dpa_scratch_hits") + count(&r, "dpa_spills"),
         "DPA conservation: served == scratch hits + spills"
     );
-    assert_eq!(count(&a, "kv_dpa_gets"), count(&a, "dpa_served"));
-    for (other, n) in [(&b, 2), (&c, 8)] {
-        assert_eq!(
-            a.to_csv().as_bytes(),
-            other.to_csv().as_bytes(),
-            "DPA CSV diverged between 1 and {n} workers:\n{}\nvs\n{}",
-            a.to_csv(),
-            other.to_csv()
-        );
-        assert_eq!(a.epochs, other.epochs, "epoch schedule diverged");
-        assert_eq!(a.messages, other.messages, "message count diverged");
-        let ca: Vec<(&str, u64)> = a.metrics.counters().collect();
-        let co: Vec<(&str, u64)> = other.metrics.counters().collect();
-        assert_eq!(ca, co, "metrics registry diverged at {n} workers");
-    }
+    assert_eq!(count(&r, "kv_dpa_gets"), count(&r, "dpa_served"));
+    assert_golden(&r, "cluster_dpa");
 }

@@ -69,9 +69,30 @@ fn bench_dram(b: &Bench) {
             done
         },
     );
+    // A cold-LLC read probes a miss and streams from DRAM.
     b.run_batched("memsys/host_stream_1mb", MemSystem::host_like, |mut mem| {
         mem.dma_access(Nanos::ZERO, 0, 1 << 20, MemOp::Read)
     });
+}
+
+/// The host LLC: the 64-line DDIO write allocate that a path-① 4 KB
+/// WRITE lands as (random 64 B-aligned targets in 1 GiB, as a cluster
+/// stream draws them), and what building a host memory system costs —
+/// every simulated machine builds one.
+fn bench_llc(b: &Bench) {
+    b.run_batched(
+        "memsys/host_ddio_write_4kb_x1k",
+        || (MemSystem::host_like(), SimRng::seed(1)),
+        |(mut mem, mut rng)| {
+            let mut done = Nanos::ZERO;
+            for _ in 0..1000 {
+                let a = rng.addr_in_range(0, 1 << 30, 64);
+                done = done.max(mem.dma_access(Nanos::ZERO, a, 4096, MemOp::Write));
+            }
+            done
+        },
+    );
+    b.run("memsys/host_like_new", MemSystem::host_like);
 }
 
 fn bench_stats(b: &Bench) {
@@ -100,6 +121,7 @@ fn main() {
     let b = Bench::from_env(20);
     bench_engine(&b);
     bench_dram(&b);
+    bench_llc(&b);
     bench_stats(&b);
     bench_index(&b);
 }

@@ -4,15 +4,18 @@
 //! [`ClusterSpec`] — but with every machine in its own shard and real
 //! switch-port contention between them.
 
+use std::rc::Rc;
+
 use nicsim::{ClientMachine, Fabric, PathKind, Verb};
 use rdma_sim::doorbell::{PostCostModel, PostMode, PosterKind};
 use simnet::arrivals::{AdmissionQueue, OpenLoopSpec};
 use simnet::faults::FaultSpec;
 use simnet::metrics::Registry;
-use simnet::rng::SimRng;
+use simnet::rng::{SimRng, Zipf};
 use simnet::stats::{Histogram, LatencySummary};
 use simnet::time::{Bandwidth, Nanos, Rate};
 use snic_farmem::{FmPlacement, FmStreamSpec};
+use snic_kvstore::KeyDist;
 use topology::ClusterSpec;
 
 use crate::fm::{FmHost, FmServer};
@@ -474,6 +477,11 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
                 "remote stream '{}' lists no client machines",
                 stream.label
             );
+            // One key-sampler table per KV stream, shared by its slices.
+            let kv_zipf = stream.kv.as_ref().and_then(|spec| match spec.dist {
+                KeyDist::Zipf(theta) => Some(Rc::new(Zipf::new(spec.n_keys as usize, theta))),
+                KeyDist::Uniform => None,
+            });
             for &ci in &stream.clients {
                 assert!(
                     ci < n_clients,
@@ -493,7 +501,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
                     stream.open.as_ref().map(|o| o.share(stream.clients.len())),
                 );
                 if let Some(spec) = &stream.kv {
-                    shards[ci].install_kv_client(si, spec, n_clients, n_servers);
+                    shards[ci].install_kv_client(si, spec, kv_zipf.clone(), n_clients, n_servers);
                 }
                 if let Some(spec) = &stream.farmem {
                     shards[ci].install_fm_client(

@@ -9,6 +9,7 @@
 //! the runtime run each shard's epoch on its own.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use memsys::MemOp;
 use nicsim::client::{wire_bytes, wire_frames};
@@ -155,7 +156,8 @@ struct OpenLocal {
 /// until the reply's shape (value vs. probe chain) comes back.
 struct KvClient {
     read_fraction: f64,
-    zipf: Option<Zipf>,
+    /// The stream's key sampler, shared by all its client slices.
+    zipf: Option<Rc<Zipf>>,
     n_keys: u64,
     value_size: u32,
     n_clients: usize,
@@ -416,6 +418,7 @@ impl Shard {
         &mut self,
         idx: usize,
         spec: &KvStreamSpec,
+        zipf: Option<Rc<Zipf>>,
         n_clients: usize,
         n_servers: usize,
     ) {
@@ -424,10 +427,7 @@ impl Shard {
             .expect("KV client slice requires the stream to be installed first");
         st.kv = Some(KvClient {
             read_fraction: spec.mix.read_fraction(),
-            zipf: match spec.dist {
-                snic_kvstore::KeyDist::Zipf(theta) => Some(Zipf::new(spec.n_keys as usize, theta)),
-                snic_kvstore::KeyDist::Uniform => None,
-            },
+            zipf,
             n_keys: spec.n_keys,
             value_size: spec.value_size,
             n_clients,

@@ -5,8 +5,6 @@
 //! mirrors that observability: every component that pushes TLPs across a
 //! link also tick these counters, and the figure harness reads them back.
 
-use std::collections::BTreeMap;
-
 use simnet::time::{Nanos, Rate};
 
 /// Identifies one PCIe channel of the simulated fabric.
@@ -88,7 +86,8 @@ struct Tally {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PcieCounters {
-    tallies: BTreeMap<(LinkId, CountDir), Tally>,
+    /// Indexed `[link as usize][dir as usize]`.
+    tallies: [[Tally; 2]; LinkId::ALL.len()],
 }
 
 impl PcieCounters {
@@ -101,12 +100,16 @@ impl PcieCounters {
     /// Packets with zero payload are control TLPs (read requests etc.)
     /// and are excluded from the data-TLP tallies.
     pub fn count(&mut self, link: LinkId, dir: CountDir, tlps: u64, bytes: u64) {
-        let t = self.tallies.entry((link, dir)).or_default();
+        let t = &mut self.tallies[link as usize][dir as usize];
         t.tlps += tlps;
         if bytes > 0 {
             t.data_tlps += tlps;
         }
         t.bytes += bytes;
+    }
+
+    fn tally(&self, link: LinkId, dir: CountDir) -> Tally {
+        self.tallies[link as usize][dir as usize]
     }
 
     /// Total TLPs on `link`, both directions.
@@ -116,45 +119,29 @@ impl PcieCounters {
 
     /// TLPs on `link` in one direction.
     pub fn dir_tlps(&self, link: LinkId, dir: CountDir) -> u64 {
-        self.tallies.get(&(link, dir)).map_or(0, |t| t.tlps)
+        self.tally(link, dir).tlps
     }
 
     /// Data-bearing TLPs on `link`, both directions (Table 3's metric:
     /// the simplified model "omits control path packets").
     pub fn data_tlps(&self, link: LinkId) -> u64 {
-        let d = self
-            .tallies
-            .get(&(link, CountDir::Down))
-            .map_or(0, |t| t.data_tlps);
-        let u = self
-            .tallies
-            .get(&(link, CountDir::Up))
-            .map_or(0, |t| t.data_tlps);
-        d + u
+        self.dir_data_tlps(link, CountDir::Down) + self.dir_data_tlps(link, CountDir::Up)
     }
 
     /// Data-bearing TLPs on `link` in one direction.
     pub fn dir_data_tlps(&self, link: LinkId, dir: CountDir) -> u64 {
-        self.tallies.get(&(link, dir)).map_or(0, |t| t.data_tlps)
+        self.tally(link, dir).data_tlps
     }
 
     /// Total payload bytes on `link`, both directions.
     pub fn bytes(&self, link: LinkId) -> u64 {
-        let d = self
-            .tallies
-            .get(&(link, CountDir::Down))
-            .map_or(0, |t| t.bytes);
-        let u = self
-            .tallies
-            .get(&(link, CountDir::Up))
-            .map_or(0, |t| t.bytes);
-        d + u
+        self.tally(link, CountDir::Down).bytes + self.tally(link, CountDir::Up).bytes
     }
 
     /// TLPs summed over every link — the "PCIe packets the SmartNIC must
     /// process" metric of Figure 9(b).
     pub fn total_tlps(&self) -> u64 {
-        self.tallies.values().map(|t| t.tlps).sum()
+        self.tallies.iter().flatten().map(|t| t.tlps).sum()
     }
 
     /// TLP throughput on one link over an elapsed window.
@@ -175,7 +162,7 @@ impl PcieCounters {
 
     /// Resets all counters to zero (e.g. after warmup).
     pub fn reset(&mut self) {
-        self.tallies.clear();
+        *self = Self::default();
     }
 
     /// Snapshot used to compute deltas across a measurement window.
@@ -185,17 +172,16 @@ impl PcieCounters {
 
     /// Per-link difference `self - earlier` (counters are monotonic).
     pub fn delta_since(&self, earlier: &PcieCounters) -> PcieCounters {
-        let mut out = PcieCounters::new();
-        for (&k, &t) in &self.tallies {
-            let before = earlier.tallies.get(&k).copied().unwrap_or_default();
-            out.tallies.insert(
-                k,
-                Tally {
-                    tlps: t.tlps - before.tlps,
-                    data_tlps: t.data_tlps - before.data_tlps,
-                    bytes: t.bytes - before.bytes,
-                },
-            );
+        let mut out = self.clone();
+        for (t, before) in out
+            .tallies
+            .iter_mut()
+            .flatten()
+            .zip(earlier.tallies.iter().flatten())
+        {
+            t.tlps -= before.tlps;
+            t.data_tlps -= before.data_tlps;
+            t.bytes -= before.bytes;
         }
         out
     }
@@ -204,6 +190,71 @@ impl PcieCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::prop::check;
+    use simnet::prop_assert_eq;
+    use std::collections::BTreeMap;
+
+    const DIRS: [CountDir; 2] = [CountDir::Down, CountDir::Up];
+
+    /// Every accessor agrees with a `BTreeMap<(LinkId, CountDir), _>`
+    /// reference over a random sequence of counts, snapshots and resets.
+    #[test]
+    fn matches_btreemap_reference() {
+        type Ref = BTreeMap<(LinkId, CountDir), (u64, u64, u64)>;
+        fn ref_count(r: &mut Ref, link: LinkId, dir: CountDir, tlps: u64, bytes: u64) {
+            let t = r.entry((link, dir)).or_default();
+            t.0 += tlps;
+            if bytes > 0 {
+                t.1 += tlps;
+            }
+            t.2 += bytes;
+        }
+        fn same(c: &PcieCounters, r: &Ref) -> Result<(), String> {
+            for link in LinkId::ALL {
+                let cell = |d: CountDir| r.get(&(link, d)).copied().unwrap_or_default();
+                let (down, up) = (cell(CountDir::Down), cell(CountDir::Up));
+                prop_assert_eq!(c.dir_tlps(link, CountDir::Down), down.0);
+                prop_assert_eq!(c.dir_tlps(link, CountDir::Up), up.0);
+                prop_assert_eq!(c.tlps(link), down.0 + up.0);
+                prop_assert_eq!(c.dir_data_tlps(link, CountDir::Up), up.1);
+                prop_assert_eq!(c.data_tlps(link), down.1 + up.1);
+                prop_assert_eq!(c.bytes(link), down.2 + up.2);
+            }
+            prop_assert_eq!(c.total_tlps(), r.values().map(|t| t.0).sum::<u64>());
+            Ok(())
+        }
+        check("pcie_counters_match_btreemap", |g| {
+            let mut c = PcieCounters::new();
+            let mut r = Ref::new();
+            let mut snap = (c.snapshot(), r.clone());
+            for _ in 0..g.usize(1..200) {
+                match g.u64(0..20) {
+                    0 => {
+                        c.reset();
+                        r.clear();
+                        snap = (c.snapshot(), r.clone());
+                    }
+                    1 => snap = (c.snapshot(), r.clone()),
+                    _ => {
+                        let link = LinkId::ALL[g.usize(0..4)];
+                        let dir = DIRS[g.usize(0..2)];
+                        let tlps = g.u64(0..64);
+                        let bytes = if g.bool() { 0 } else { g.u64(1..1 << 20) };
+                        c.count(link, dir, tlps, bytes);
+                        ref_count(&mut r, link, dir, tlps, bytes);
+                    }
+                }
+                same(&c, &r)?;
+                let mut delta = r.clone();
+                for (k, t) in delta.iter_mut() {
+                    let b = snap.1.get(k).copied().unwrap_or_default();
+                    *t = (t.0 - b.0, t.1 - b.1, t.2 - b.2);
+                }
+                same(&c.delta_since(&snap.0), &delta)?;
+            }
+            Ok(())
+        });
+    }
 
     #[test]
     fn counting_accumulates_per_direction() {
@@ -219,10 +270,23 @@ mod tests {
 
     #[test]
     fn links_are_independent() {
-        let mut c = PcieCounters::new();
-        c.count(LinkId::Pcie1, CountDir::Down, 5, 0);
-        assert_eq!(c.tlps(LinkId::Pcie0), 0);
-        assert_eq!(c.total_tlps(), 5);
+        // Each of the 8 (link, direction) cells, counted alone, shows up
+        // in its own cell and nowhere else.
+        for (i, &link) in LinkId::ALL.iter().enumerate() {
+            for (j, &dir) in DIRS.iter().enumerate() {
+                let mut c = PcieCounters::new();
+                c.count(link, dir, 3, 30);
+                for (k, &other) in LinkId::ALL.iter().enumerate() {
+                    for (l, &odir) in DIRS.iter().enumerate() {
+                        let n = if (i, j) == (k, l) { 3 } else { 0 };
+                        assert_eq!(c.dir_tlps(other, odir), n);
+                        assert_eq!(c.dir_data_tlps(other, odir), n);
+                    }
+                    assert_eq!(c.bytes(other), if i == k { 30 } else { 0 });
+                }
+                assert_eq!(c.total_tlps(), 3);
+            }
+        }
     }
 
     #[test]

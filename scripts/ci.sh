@@ -58,4 +58,9 @@ BENCH_SAMPLES=3 BENCH_WARMUP=0 cargo run --release --offline -p snic-bench \
     --bin perf -- --out "$bench_snap"
 cargo run --release --offline -p snic-bench --bin perf -- --check "$bench_snap"
 
-echo "ci.sh: build + tests + fmt + clippy + cluster goldens + bench smoke all green (offline)"
+# Micro-layer smoke: one sample of every primitives bench (engine, DRAM,
+# LLC, stats, index), so a bench that stops compiling or panics fails
+# here rather than rotting unnoticed.
+BENCH_SAMPLES=1 BENCH_WARMUP=0 cargo bench --offline -p snic-bench --bench primitives
+
+echo "ci.sh: build + tests + fmt + clippy + cluster goldens + bench smokes all green (offline)"

@@ -4,7 +4,7 @@
 //! Runs on the in-tree harness (`snic_bench::timing`); tune with
 //! `BENCH_SAMPLES` / `BENCH_WARMUP`.
 
-use memsys::{MemOp, MemSystem};
+use memsys::{DramSim, DramSpec, LlcSim, LlcSpec, MemOp, MemSystem};
 use simnet::engine::{BaselineEngine, Engine, Step};
 use simnet::rng::SimRng;
 use simnet::stats::Histogram;
@@ -73,6 +73,18 @@ fn bench_dram(b: &Bench) {
     b.run_batched("memsys/host_stream_1mb", MemSystem::host_like, |mut mem| {
         mem.dma_access(Nanos::ZERO, 0, 1 << 20, MemOp::Read)
     });
+    // 1000 random 4 KB reads straight to host DDR4: each spreads over
+    // all 8 channels, one row segment per channel.
+    let mut dram = DramSim::new(DramSpec::host_ddr4());
+    let mut rng = SimRng::seed(1);
+    b.run("memsys/dram_read_4kb", || {
+        let mut done = Nanos::ZERO;
+        for _ in 0..1000 {
+            let a = rng.addr_in_range(0, 1 << 30, 64);
+            done = done.max(dram.access(Nanos::ZERO, a, 4096, MemOp::Read));
+        }
+        done
+    });
 }
 
 /// The host LLC: the 64-line DDIO write allocate that a path-① 4 KB
@@ -93,6 +105,32 @@ fn bench_llc(b: &Bench) {
         },
     );
     b.run("memsys/host_like_new", MemSystem::host_like);
+
+    // The tag walk alone, on an LLC whose every set is already full, so
+    // no sample pays for first-touch page fills: 1000 random 4 KB
+    // writes (64 lines each) that miss and evict.
+    let mut llc = LlcSim::new(LlcSpec::xeon_like());
+    for a in (0..2 * LlcSpec::xeon_like().capacity).step_by(4096) {
+        llc.access(Nanos::ZERO, a, 4096);
+    }
+    let mut rng = SimRng::seed(1);
+    b.run("memsys/llc_write_4kb_miss", || {
+        let mut done = Nanos::ZERO;
+        for _ in 0..1000 {
+            let a = rng.addr_in_range(1 << 30, 1 << 30, 64);
+            done = done.max(llc.access(Nanos::ZERO, a, 4096));
+        }
+        done
+    });
+    // A client's READ completions: 1000 writes of the same 4 KB at
+    // address 0.
+    b.run("memsys/llc_write_4kb_repeat", || {
+        let mut done = Nanos::ZERO;
+        for _ in 0..1000 {
+            done = done.max(llc.access(Nanos::ZERO, 0, 4096));
+        }
+        done
+    });
 }
 
 fn bench_stats(b: &Bench) {

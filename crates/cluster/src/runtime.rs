@@ -23,12 +23,12 @@
 //! peeks; an idle shard's `run_until` would be a no-op, so skipping it
 //! is invisible.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use simnet::time::Nanos;
 
-use crate::msg::NetMsg;
+use crate::msg::{NetMsg, ShardId};
 use crate::shard::Shard;
 use crate::switch::SwitchFabric;
 
@@ -36,44 +36,44 @@ use crate::switch::SwitchFabric;
 /// `u64::MAX` ns would alias, but horizons are bounded far below that.
 const IDLE: u64 = u64::MAX;
 
-/// A message in the pending heap. The order is `NetMsg::key()`
-/// *reversed*, turning std's max-heap into a min-heap on the merge key.
-/// Keys are unique (`seq` counts per source), so the order is total.
-struct Queued(NetMsg);
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-
-impl Eq for Queued {}
-
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
-}
+/// A pending message's merge key and slab slot: `(depart, src, seq,
+/// slot)`. Keys are unique (`seq` counts per source), so the slot never
+/// decides the order.
+type Key = (u64, ShardId, u64, usize);
 
 /// Undelivered messages, kept across epochs and popped in global
 /// `(depart, src, seq)` order.
+///
+/// The heap orders 32-byte keys; the messages themselves sit still in a
+/// slab whose slots are recycled once popped.
 #[derive(Default)]
-struct Pending(BinaryHeap<Queued>);
+struct Pending {
+    /// Min-heap on the merge key.
+    heap: BinaryHeap<Reverse<Key>>,
+    slab: Vec<NetMsg>,
+    /// Slab slots whose message has been popped.
+    free: Vec<usize>,
+}
 
 impl Pending {
     fn push(&mut self, m: NetMsg) {
-        self.0.push(Queued(m));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = m;
+                slot
+            }
+            None => {
+                self.slab.push(m);
+                self.slab.len() - 1
+            }
+        };
+        let (depart, src, seq) = m.key();
+        self.heap.push(Reverse((depart, src, seq, slot)));
     }
 
     /// The earliest departure still waiting for the switch.
     fn next_depart(&self) -> Option<u64> {
-        self.0.peek().map(|q| q.0.depart.as_nanos())
+        self.heap.peek().map(|Reverse(k)| k.0)
     }
 
     /// Pops the next message in key order if it departs strictly before
@@ -83,7 +83,9 @@ impl Pending {
         if self.next_depart()? >= end {
             return None;
         }
-        self.0.pop().map(|q| q.0)
+        let Reverse((.., slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        Some(self.slab[slot])
     }
 }
 
@@ -142,6 +144,8 @@ pub(crate) fn drive(shards: &mut [Shard], switch: &mut SwitchFabric, horizon: Na
 mod tests {
     use super::*;
     use crate::msg::MsgKind;
+    use simnet::prop::{check, Gen};
+    use simnet::{prop_assert, prop_assert_eq};
 
     fn msg(src: usize, seq: u64, depart: u64) -> NetMsg {
         NetMsg {
@@ -203,5 +207,64 @@ mod tests {
         assert_eq!(routed, vec![(450, 1, 5), (450, 2, 0), (500, 0, 8)]);
         assert_eq!(pending.next_depart(), Some(900));
         assert!(pending.pop_before(900).is_none());
+    }
+
+    /// Pushes and pops over many epochs, as `drive` does, so popped
+    /// slots are refilled while older messages still wait. Every pop
+    /// must match a reference sorted by `NetMsg::key()` in key and in
+    /// payload, and the slab must never outgrow the peak backlog.
+    #[test]
+    fn slab_recycles_slots_and_keeps_messages_intact() {
+        check(
+            "runtime_pending_slab_matches_sorted_reference",
+            |g: &mut Gen| {
+                let shards = g.usize(1..6);
+                let mut seq = vec![0u64; shards];
+                let mut pending = Pending::default();
+                let mut reference: Vec<NetMsg> = Vec::new();
+                let (mut popped, mut peak) = (0, 0);
+                for epoch in 0..g.u64(1..60) {
+                    let start = epoch * 450;
+                    for _ in 0..g.usize(0..12) {
+                        let src = g.usize(0..shards);
+                        let mut m = msg(src, seq[src], start + g.u64(0..1_500));
+                        seq[src] += 1;
+                        m.dst = g.usize(0..shards);
+                        m.bytes = g.u64(0..9_000);
+                        m.kind = MsgKind::Drop {
+                            stream: g.u32(0..8) as u16,
+                            thread: g.u32(0..64) as u16,
+                            posted: Nanos::new(g.u64(0..start + 1)),
+                            xid: g.any_u64(),
+                        };
+                        pending.push(m);
+                        reference.push(m);
+                    }
+                    peak = peak.max(reference.len());
+                    reference.sort_by_key(|m| Reverse(m.key()));
+                    let end = start + 450;
+                    while let Some(got) = pending.pop_before(end) {
+                        let want = reference.pop().expect("reference ran dry first");
+                        prop_assert_eq!(got.key(), want.key());
+                        prop_assert!(got.key().0 < end);
+                        prop_assert_eq!(
+                            (got.dst, got.bytes, got.kind),
+                            (want.dst, want.bytes, want.kind)
+                        );
+                        popped += 1;
+                    }
+                    prop_assert!(reference.iter().all(|m| m.key().0 >= end));
+                    prop_assert_eq!(pending.next_depart(), reference.last().map(|m| m.key().0));
+                }
+                prop_assert!(
+                    pending.slab.len() <= peak,
+                    "{} slots for a backlog of {peak}",
+                    pending.slab.len()
+                );
+                prop_assert_eq!(pending.free.len() + reference.len(), pending.slab.len());
+                prop_assert_eq!(popped + reference.len(), seq.iter().sum::<u64>() as usize);
+                Ok(())
+            },
+        );
     }
 }

@@ -183,29 +183,32 @@ impl DramSim {
         if bytes <= self.spec.stripe_bytes {
             return self.access_row_segment(now, addr, bytes, op);
         }
-        let nch = self.spec.channels as u64;
-        let per_ch = bytes / nch;
+        let nch = self.spec.channels as usize;
+        let per_ch = bytes / nch as u64;
+        let stripe = addr / self.spec.stripe_bytes;
+        // Compacted per-channel stream address: consecutive stripes of a
+        // channel are contiguous in its own address space, and every
+        // channel's share starts at the same one.
+        let ch_base = stripe / nch as u64 * self.spec.stripe_bytes;
+        let mut ch = (stripe % nch as u64) as usize;
         let mut done = now;
         for c in 0..nch {
             let share = if c + 1 < nch {
                 per_ch
             } else {
-                bytes - per_ch * (nch - 1)
+                bytes - per_ch * (nch as u64 - 1)
             };
-            if share == 0 {
-                continue;
+            if share > 0 {
+                done = done.max(self.stream_channel(now, ch, ch_base, share, op));
             }
-            let ch = ((self.channel_of(addr) as u64 + c) % nch) as usize;
-            // Compacted per-channel stream address: consecutive stripes
-            // of this channel are contiguous in its own address space.
-            let ch_base = addr / (self.spec.stripe_bytes * nch) * self.spec.stripe_bytes;
-            done = done.max(self.stream_channel(now, ch, ch_base, share, op));
+            ch = if ch + 1 == nch { 0 } else { ch + 1 };
         }
         done
     }
 
     /// Streams `bytes` through one channel, walking rows (and therefore
-    /// banks) within it.
+    /// banks) within it. Only the first row can start mid-row; each later
+    /// one starts at offset 0 on the channel's next bank.
     fn stream_channel(
         &mut self,
         now: Nanos,
@@ -217,15 +220,15 @@ impl DramSim {
         let beats = bytes.div_ceil(64);
         let chres = self.channels[ch].reserve(now, bytes, beats);
         let mut done = chres.finish;
-        let mut remaining = bytes;
-        let mut cursor = ch_addr;
         let row_bytes = self.spec.row_bytes;
+        let banks = self.spec.banks_per_channel as usize;
+        let first_bank = ch * banks;
+        let mut row = ch_addr / row_bytes;
+        let mut off = ch_addr - row * row_bytes;
+        let mut bank_idx = first_bank + (row % banks as u64) as usize;
+        let mut remaining = bytes;
         while remaining > 0 {
-            let off = cursor % row_bytes;
             let seg = remaining.min(row_bytes - off);
-            let row = cursor / row_bytes;
-            let bank_idx = ch * self.spec.banks_per_channel as usize
-                + (row % self.spec.banks_per_channel as u64) as usize;
             let seg_beats = seg.div_ceil(64);
             let mut occupancy = self.spec.t_burst * seg_beats;
             match self.spec.policy {
@@ -245,8 +248,14 @@ impl DramSim {
             }
             let res = self.banks[bank_idx].server.reserve(now, occupancy);
             done = done.max(res.finish);
-            cursor += seg;
             remaining -= seg;
+            row += 1;
+            off = 0;
+            bank_idx = if bank_idx + 1 == first_bank + banks {
+                first_bank
+            } else {
+                bank_idx + 1
+            };
         }
         done
     }
@@ -292,6 +301,135 @@ impl DramSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::prop::{check, Gen};
+    use simnet::prop_assert_eq;
+
+    /// The streaming path as first written: it recomputes the start
+    /// channel and compacted base for every channel, and the row, offset
+    /// and bank of every segment by division. [`DramSim::access`] must
+    /// agree with it access for access.
+    fn reference_access(sim: &mut DramSim, now: Nanos, addr: u64, bytes: u64, op: MemOp) -> Nanos {
+        sim.accesses += 1;
+        if bytes <= sim.spec.stripe_bytes {
+            return sim.access_row_segment(now, addr, bytes, op);
+        }
+        let nch = sim.spec.channels as u64;
+        let per_ch = bytes / nch;
+        let mut done = now;
+        for c in 0..nch {
+            let share = if c + 1 < nch {
+                per_ch
+            } else {
+                bytes - per_ch * (nch - 1)
+            };
+            if share == 0 {
+                continue;
+            }
+            let ch = ((sim.channel_of(addr) as u64 + c) % nch) as usize;
+            let ch_base = addr / (sim.spec.stripe_bytes * nch) * sim.spec.stripe_bytes;
+            done = done.max(reference_stream_channel(sim, now, ch, ch_base, share, op));
+        }
+        done
+    }
+
+    fn reference_stream_channel(
+        sim: &mut DramSim,
+        now: Nanos,
+        ch: usize,
+        ch_addr: u64,
+        bytes: u64,
+        op: MemOp,
+    ) -> Nanos {
+        let beats = bytes.div_ceil(64);
+        let chres = sim.channels[ch].reserve(now, bytes, beats);
+        let mut done = chres.finish;
+        let mut remaining = bytes;
+        let mut cursor = ch_addr;
+        let row_bytes = sim.spec.row_bytes;
+        while remaining > 0 {
+            let off = cursor % row_bytes;
+            let seg = remaining.min(row_bytes - off);
+            let row = cursor / row_bytes;
+            let bank_idx = ch * sim.spec.banks_per_channel as usize
+                + (row % sim.spec.banks_per_channel as u64) as usize;
+            let mut occupancy = sim.spec.t_burst * seg.div_ceil(64);
+            match sim.spec.policy {
+                PagePolicy::Closed => {
+                    occupancy += sim.spec.t_activate + sim.spec.t_precharge;
+                }
+                PagePolicy::Open => {
+                    let bank = &mut sim.banks[bank_idx];
+                    if bank.open_row != Some(row) {
+                        occupancy += sim.spec.t_activate + sim.spec.t_precharge;
+                        bank.open_row = Some(row);
+                    }
+                }
+            }
+            if op == MemOp::Write {
+                occupancy += sim.spec.t_write_recovery;
+            }
+            let res = sim.banks[bank_idx].server.reserve(now, occupancy);
+            done = done.max(res.finish);
+            cursor += seg;
+            remaining -= seg;
+        }
+        done
+    }
+
+    /// Drives [`DramSim::access`] and the reference with the same random
+    /// accesses. Half the addresses fall in a few rows, so open rows hit
+    /// and banks queue; sizes up to 9 KB cross rows in every channel.
+    fn agrees_with_reference(g: &mut Gen, spec: DramSpec) -> Result<(), String> {
+        let mut fast = DramSim::new(spec);
+        let mut slow = DramSim::new(spec);
+        let narrow = spec.row_bytes * 4;
+        for _ in 0..g.usize(1..300) {
+            let now = Nanos::new(g.u64(0..20_000));
+            let addr = if g.bool() {
+                g.u64(0..narrow)
+            } else {
+                g.u64(0..1 << 32)
+            };
+            let bytes = g.u64(1..9 * 1024 + 1);
+            let op = if g.bool() { MemOp::Read } else { MemOp::Write };
+            prop_assert_eq!(
+                fast.access(now, addr, bytes, op),
+                reference_access(&mut slow, now, addr, bytes, op),
+                "access({now}, {addr:#x}, {bytes}, {op:?})"
+            );
+        }
+        prop_assert_eq!(fast.accesses(), slow.accesses());
+        Ok(())
+    }
+
+    #[test]
+    fn access_matches_reference_host() {
+        check("dram_access_matches_reference_host", |g| {
+            agrees_with_reference(g, DramSpec::host_ddr4())
+        });
+    }
+
+    #[test]
+    fn access_matches_reference_soc() {
+        check("dram_access_matches_reference_soc", |g| {
+            agrees_with_reference(g, DramSpec::soc_ddr4())
+        });
+    }
+
+    #[test]
+    fn access_matches_reference_odd_geometry() {
+        // No power of two in the channel, bank, row or stripe counts.
+        let spec = DramSpec {
+            channels: 6,
+            banks_per_channel: 12,
+            row_bytes: 3 << 10,
+            stripe_bytes: 384,
+            ..DramSpec::host_ddr4()
+        };
+        check("dram_access_matches_reference_odd_geometry", |g| {
+            agrees_with_reference(g, spec)
+        });
+    }
 
     fn makespan_64b(sim: &mut DramSim, addrs: &[u64], op: MemOp) -> Nanos {
         let mut done = Nanos::ZERO;

@@ -53,17 +53,26 @@ impl LlcSpec {
 
 /// Sets per tag page. A page is allocated on the first access that
 /// touches one of its sets, so a machine whose LLC the simulation never
-/// touches pays for no tags at all (an 11-way page is 5.5 KB).
+/// touches pays for no tags at all (an 11-way page is 5.6 KB, heads
+/// included).
 const PAGE_SETS: usize = 64;
 
 /// An unused way. `addr / line` with `line > 1` never reaches it.
 const EMPTY: u64 = u64::MAX;
 
+/// The page-table entry of a page no access has touched.
+const UNTOUCHED: u32 = u32::MAX;
+
 /// A stateful LLC simulator.
 ///
 /// Tags live in pages of [`PAGE_SETS`] sets, allocated on first touch.
-/// Each set is `ways` slots packed least-recently-used first, with
-/// [`EMPTY`] filling the unused tail.
+/// A page holds each set's `ways` tag slots and a head byte per set; the
+/// page table keeps a 4-byte index per page. A set that is not yet full
+/// is packed least-recently-used first from slot 0, with [`EMPTY`]
+/// filling the unused tail, and its head is 0. A full set is a ring: its
+/// head slot holds the LRU way and the order runs on from there,
+/// wrapping, to the MRU way just before it. A miss on a full set
+/// overwrites the head and advances it; only a hit moves tags.
 ///
 /// # Examples
 ///
@@ -81,9 +90,15 @@ pub struct LlcSim {
     spec: LlcSpec,
     sets: u64,
     ways: usize,
-    /// Tag pages; an empty page has never been touched.
-    pages: Vec<Box<[u64]>>,
+    /// Each page's index into `pages`, or [`UNTOUCHED`].
+    page_of: Vec<u32>,
+    /// The touched pages, in first-touch order.
+    pages: Vec<Page>,
     slices: Vec<Server>,
+    /// Line range `(first, last)` of the latest access, kept only when
+    /// it spans at most `sets` lines. Each of its lines is then the MRU
+    /// way of its own set until another access runs.
+    recent: Option<(u64, u64)>,
     hits: u64,
     misses: u64,
 }
@@ -94,22 +109,26 @@ impl LlcSim {
     ///
     /// # Panics
     ///
-    /// Panics if the spec implies zero sets, has zero ways/slices, or
-    /// has a line of fewer than 2 bytes.
+    /// Panics if the spec implies zero sets or 2^32 - 1 or more pages,
+    /// has zero or more than 256 ways, has zero slices, or has a line of
+    /// fewer than 2 bytes.
     pub fn new(spec: LlcSpec) -> Self {
         assert!(
-            spec.ways > 0 && spec.slices > 0 && spec.line > 1,
+            (1..=256).contains(&spec.ways) && spec.slices > 0 && spec.line > 1,
             "degenerate LLC"
         );
         let sets = spec.sets();
         assert!(sets > 0, "LLC smaller than one set");
         let pages = (sets as usize).div_ceil(PAGE_SETS);
+        assert!(pages < UNTOUCHED as usize, "LLC too large to page");
         LlcSim {
             spec,
             sets,
             ways: spec.ways as usize,
-            pages: (0..pages).map(|_| Box::default()).collect(),
+            page_of: vec![UNTOUCHED; pages],
+            pages: Vec::new(),
             slices: vec![Server::new(); spec.slices as usize],
+            recent: None,
             hits: 0,
             misses: 0,
         }
@@ -128,21 +147,15 @@ impl LlcSim {
         (line % self.sets) as usize
     }
 
-    fn slice_of(&self, line: u64) -> usize {
-        // Xeon hashes physical addresses across slices; consecutive lines
-        // land on consecutive slices, which simple interleaving captures.
-        (line % self.slices.len() as u64) as usize
-    }
-
     /// Whether the first line of `[addr, addr+bytes)` is resident, without
     /// touching LRU state.
     pub fn probe(&self, addr: u64, _bytes: u64) -> bool {
         let line = self.line_of(addr);
         let set = self.set_of(line);
         let off = set % PAGE_SETS * self.ways;
-        self.pages[set / PAGE_SETS]
-            .get(off..off + self.ways)
-            .is_some_and(|tags| tags.contains(&line))
+        self.pages
+            .get(self.page_of[set / PAGE_SETS] as usize)
+            .is_some_and(|page| page.tags[off..off + self.ways].contains(&line))
     }
 
     /// Accesses (and allocates) `[addr, addr+bytes)`, reserving slice
@@ -155,54 +168,68 @@ impl LlcSim {
         assert!(bytes > 0, "zero-byte LLC access");
         let first = self.line_of(addr);
         let last = self.line_of(addr + bytes - 1);
-        for line in first..=last {
-            self.touch(line);
+        let lines = last - first + 1;
+        if self.recent == Some((first, last)) {
+            // Every line is already the MRU way of its own set, so the
+            // walk would hit on each and move no tag.
+            self.hits += lines;
+        } else {
+            self.walk(first, lines);
+            self.recent = (lines <= self.sets).then_some((first, last));
         }
         // Slice `first + j` serves lines `first + j`, `first + j + S`, …:
         // one reservation of their summed occupancy finishes exactly
         // where that many back-to-back one-line reservations would.
-        let lines = last - first + 1;
-        let n_slices = self.slices.len() as u64;
+        let n_slices = self.slices.len();
+        let (per_slice, extra) = (lines / n_slices as u64, lines % n_slices as u64);
+        // Xeon hashes physical addresses across slices; consecutive lines
+        // land on consecutive slices, which simple interleaving captures.
+        let mut slice = (first % n_slices as u64) as usize;
         let mut done = now;
-        for j in 0..lines.min(n_slices) {
-            let k = (lines - 1 - j) / n_slices + 1;
-            let slice = self.slice_of(first + j);
+        for j in 0..lines.min(n_slices as u64) {
+            let k = per_slice + u64::from(j < extra);
             let res = self.slices[slice].reserve(now, self.spec.t_line * k);
             done = done.max(res.finish + self.spec.t_hit);
+            slice = if slice + 1 == n_slices { 0 } else { slice + 1 };
         }
         done
     }
 
-    fn touch(&mut self, line: u64) {
+    /// Touches `lines` consecutive lines from `first`. Consecutive lines
+    /// fall in consecutive sets, so the walk steps the set index instead
+    /// of dividing per line, and looks each page up once per run of sets.
+    fn walk(&mut self, first: u64, lines: u64) {
         let ways = self.ways;
-        let set_idx = self.set_of(line);
-        let page = &mut self.pages[set_idx / PAGE_SETS];
-        if page.is_empty() {
-            *page = vec![EMPTY; PAGE_SETS * ways].into_boxed_slice();
+        let n_sets = self.sets as usize;
+        let mut set = self.set_of(first);
+        let mut line = first;
+        let end = first + lines;
+        let mut hits = 0;
+        while line < end {
+            let s0 = set % PAGE_SETS;
+            let run = (PAGE_SETS - s0)
+                .min(n_sets - set)
+                .min((end - line) as usize);
+            let entry = &mut self.page_of[set / PAGE_SETS];
+            if *entry == UNTOUCHED {
+                *entry = self.pages.len() as u32;
+                self.pages.push(Page {
+                    heads: [0; PAGE_SETS],
+                    tags: vec![EMPTY; PAGE_SETS * ways].into_boxed_slice(),
+                });
+            }
+            let page = &mut self.pages[*entry as usize];
+            let sets = page.heads[s0..s0 + run]
+                .iter_mut()
+                .zip(page.tags.chunks_exact_mut(ways).skip(s0));
+            for (head, tags) in sets {
+                hits += u64::from(touch(tags, head, line));
+                line += 1;
+            }
+            set = if set + run == n_sets { 0 } else { set + run };
         }
-        let off = set_idx % PAGE_SETS * ways;
-        let tags = &mut page[off..off + ways];
-        match tags.iter().position(|&t| t == line || t == EMPTY) {
-            Some(pos) if tags[pos] == line => {
-                // Hit: move to MRU position (the end of the packed run).
-                let len = tags[pos..]
-                    .iter()
-                    .position(|&t| t == EMPTY)
-                    .map_or(ways, |n| pos + n);
-                tags[pos..len].rotate_left(1);
-                self.hits += 1;
-            }
-            Some(free) => {
-                tags[free] = line;
-                self.misses += 1;
-            }
-            None => {
-                // Full set: evict the LRU way.
-                tags.rotate_left(1);
-                tags[ways - 1] = line;
-                self.misses += 1;
-            }
-        }
+        self.hits += hits;
+        self.misses += lines - hits;
     }
 
     /// Hits observed so far.
@@ -214,6 +241,65 @@ impl LlcSim {
     pub fn misses(&self) -> u64 {
         self.misses
     }
+}
+
+/// `PAGE_SETS` consecutive sets of the tag array.
+#[derive(Debug, Clone, PartialEq)]
+struct Page {
+    /// Each set's ring head: the slot of its LRU way once the set is
+    /// full, 0 before.
+    heads: [u8; PAGE_SETS],
+    /// Each set's `ways` tag slots, set after set.
+    tags: Box<[u64]>,
+}
+
+/// Makes `line` the MRU way of the set with tag slots `tags` and ring
+/// head `head`, evicting the LRU way on a miss to a full set. Returns
+/// whether `line` was resident.
+fn touch(tags: &mut [u64], head: &mut u8, line: u64) -> bool {
+    let ways = tags.len();
+    if tags[ways - 1] == EMPTY {
+        // Packed set: fill the first empty way on a miss, rotate a hit
+        // to the end of the run.
+        let pos = tags
+            .iter()
+            .position(|&t| t == line || t == EMPTY)
+            .expect("a packed set has an empty way");
+        if tags[pos] == EMPTY {
+            tags[pos] = line;
+            return false;
+        }
+        let run = tags[pos..]
+            .iter()
+            .position(|&t| t == EMPTY)
+            .expect("a packed set has an empty way");
+        tags[pos..pos + run].rotate_left(1);
+        return true;
+    }
+    // Full ring: the MRU slot is just before the head.
+    let lru = usize::from(*head);
+    let mru = lru.checked_sub(1).unwrap_or(ways - 1);
+    if tags[mru] == line {
+        return true;
+    }
+    let Some(pos) = tags.iter().position(|&t| t == line) else {
+        // Overwrite the LRU way, the head, and advance the head.
+        tags[lru] = line;
+        *head = if lru + 1 == ways { 0 } else { lru as u8 + 1 };
+        return false;
+    };
+    // Move the ways logically after the hit down one slot and put the
+    // hit in the MRU slot.
+    if pos < mru {
+        tags.copy_within(pos + 1..=mru, pos);
+    } else {
+        // The ways after the hit wrap past the last slot.
+        tags.copy_within(pos + 1.., pos);
+        tags[ways - 1] = tags[0];
+        tags.copy_within(1..=mru, 0);
+    }
+    tags[mru] = line;
+    true
 }
 
 #[cfg(test)]
@@ -276,32 +362,55 @@ mod tests {
     }
 
     /// Drives the paged model and the reference with the same random
-    /// accesses and probes. Half the addresses alias onto a handful of
-    /// sets (`base + i * sets` lines), so sets fill past `ways` and
-    /// evict; sizes up to 9 KB straddle tag pages.
+    /// accesses and probes. Half the fresh addresses alias onto a handful
+    /// of sets (`base + i * sets` lines), so sets fill past `ways` and
+    /// evict; sizes up to 9 KB straddle tag pages and, on the tiny spec,
+    /// span more lines than there are sets. A share of accesses repeat
+    /// the latest range exactly (the fast path), some cover the same
+    /// lines with other byte bounds, and some repeat the range before it
+    /// after a different access has replaced the remembered one. Probes
+    /// run between some accesses and not others.
     fn agrees_with_baseline(g: &mut Gen, spec: LlcSpec) -> Result<(), String> {
         let sets = spec.sets();
+        let line = spec.line;
         let mut paged = LlcSim::new(spec);
         let mut base = BaselineLlc::new(spec);
         let hot_set = g.u64(0..sets);
-        let span = sets * spec.line * 4;
+        let span = sets * line * 4;
+        let (mut prev, mut prev2) = ((0, 1), (0, 1));
         for _ in 0..g.usize(1..300) {
-            let addr = if g.bool() {
-                let line = hot_set + g.u64(0..sets.min(4)) + g.u64(0..2 * spec.ways as u64) * sets;
-                line * spec.line + g.u64(0..spec.line)
-            } else {
-                g.u64(0..span)
+            let (addr, bytes) = match g.u32(0..8) {
+                0 | 1 => prev,
+                2 => {
+                    let (a, b) = prev;
+                    let lo = a / line * line + g.u64(0..line);
+                    let hi = (a + b).div_ceil(line) * line - g.u64(0..line);
+                    (lo, hi.max(lo + 1) - lo)
+                }
+                3 => prev2,
+                _ => {
+                    let addr = if g.bool() {
+                        let l =
+                            hot_set + g.u64(0..sets.min(4)) + g.u64(0..2 * spec.ways as u64) * sets;
+                        l * line + g.u64(0..line)
+                    } else {
+                        g.u64(0..span)
+                    };
+                    (addr, g.u64(1..9_000))
+                }
             };
+            (prev2, prev) = (prev, (addr, bytes));
             let now = Nanos::new(g.u64(0..5_000));
-            let bytes = g.u64(1..9_000);
             prop_assert_eq!(
                 paged.access(now, addr, bytes),
                 base.access(now, addr, bytes),
                 "access({now}, {addr:#x}, {bytes})"
             );
-            let probe = g.u64(0..span);
-            prop_assert_eq!(paged.probe(probe, 64), base.probe(probe));
-            prop_assert_eq!(paged.probe(addr, 64), base.probe(addr));
+            if g.bool() {
+                let probe = g.u64(0..span);
+                prop_assert_eq!(paged.probe(probe, 64), base.probe(probe));
+                prop_assert_eq!(paged.probe(addr, 64), base.probe(addr));
+            }
             prop_assert_eq!(paged.hits(), base.hits);
             prop_assert_eq!(paged.misses(), base.misses);
         }
@@ -342,15 +451,18 @@ mod tests {
     #[test]
     fn untouched_pages_stay_unallocated() {
         let mut llc = LlcSim::new(LlcSpec::xeon_like());
-        assert!(llc.pages.iter().all(|p| p.is_empty()));
+        assert!(llc.pages.is_empty());
         llc.access(Nanos::ZERO, 0, 4096);
-        let touched = llc.pages.iter().filter(|p| !p.is_empty()).count();
-        assert_eq!(touched, 1, "one 4 KB access spans 64 sets = one page");
+        assert_eq!(
+            llc.pages.len(),
+            1,
+            "one 4 KB access spans 64 sets = one page"
+        );
     }
 
     fn tiny_spec() -> LlcSpec {
         LlcSpec {
-            capacity: 4096, // 4 sets of 16 ways... see below
+            capacity: 4096, // 16 sets of 4 ways
             ways: 4,
             line: 64,
             slices: 2,
@@ -392,6 +504,55 @@ mod tests {
         // Line 1*sets was LRU and must be gone; line 0 must survive.
         assert!(!llc.probe(sets * 64, 64));
         assert!(llc.probe(0, 64));
+    }
+
+    #[test]
+    fn repeated_range_counts_hits_without_moving_tags() {
+        let mut llc = LlcSim::new(LlcSpec::xeon_like());
+        llc.access(Nanos::ZERO, 0, 4096);
+        let pages = llc.pages.clone();
+        llc.access(Nanos::ZERO, 0, 4096);
+        assert_eq!(llc.recent, Some((0, 63)));
+        assert_eq!((llc.hits(), llc.misses()), (64, 64));
+        assert_eq!(llc.pages, pages, "a repeat must not move a tag");
+    }
+
+    #[test]
+    fn range_longer_than_sets_is_not_remembered() {
+        let spec = tiny_spec();
+        let mut llc = LlcSim::new(spec);
+        llc.access(Nanos::ZERO, 0, spec.sets() * 64);
+        assert_eq!(llc.recent, Some((0, spec.sets() - 1)));
+        llc.access(Nanos::ZERO, 0, (spec.sets() + 1) * 64);
+        assert_eq!(llc.recent, None, "line 0 and line `sets` share a set");
+    }
+
+    #[test]
+    fn full_set_hits_keep_ring_order() {
+        // One 4-way set: fill it, wrap the head with two evictions, then
+        // hit ways whose successors wrap past the end of the slots.
+        let spec = tiny_spec();
+        let sets = spec.sets();
+        let mut llc = LlcSim::new(spec);
+        let at = |i: u64| i * sets * 64;
+        for i in 0..6 {
+            llc.access(Nanos::ZERO, at(i), 64); // LRU→MRU: 2 3 4 5
+        }
+        llc.access(Nanos::ZERO, at(3), 64); // 2 4 5 3
+        llc.access(Nanos::ZERO, at(5), 64); // 2 4 3 5
+        llc.access(Nanos::ZERO, at(6), 64); // evicts 2: 4 3 5 6
+        llc.access(Nanos::ZERO, at(7), 64); // evicts 4: 3 5 6 7
+        assert_eq!((llc.hits(), llc.misses()), (2, 8));
+        for (i, resident) in [
+            (2, false),
+            (3, true),
+            (4, false),
+            (5, true),
+            (6, true),
+            (7, true),
+        ] {
+            assert_eq!(llc.probe(at(i), 64), resident, "line {i} x sets");
+        }
     }
 
     #[test]

@@ -37,6 +37,30 @@ if ! grep -q "6 passed" <<<"$det_out"; then
     exit 1
 fi
 
+# The memory-model fast paths (the LLC's ring-ordered sets and repeat
+# range, the DRAM walk's hoisted channel loop) and the merge's key-only
+# heap are exact only if they agree with their reference models on every
+# input. Rerun those property tests over 2000 cases each, and refuse a
+# run where the filters matched fewer tests than expected.
+prop_gate() {
+    local want=$1
+    shift
+    local out
+    out=$(PROP_CASES=2000 cargo test -q --release --offline "$@" 2>&1) || {
+        echo "$out"
+        echo "ci.sh: oracle property tests FAILED ($*)" >&2
+        exit 1
+    }
+    if ! grep -q "test result: ok. $want passed;" <<<"$out"; then
+        echo "$out"
+        echo "ci.sh: expected $want oracle property tests ($*)" >&2
+        exit 1
+    fi
+}
+prop_gate 6 -p memsys --lib -- llc::tests::paged_tags_match_baseline \
+    dram::tests::access_matches_reference
+prop_gate 1 -p snic-cluster --lib -- runtime::tests::slab_recycles
+
 # Smoke the cluster runtime end to end through its example, and the
 # fault-injection, open-loop, KV-service, far-memory and BF-3 DPA
 # sweeps through the figure runner.
@@ -63,4 +87,4 @@ cargo run --release --offline -p snic-bench --bin perf -- --check "$bench_snap"
 # here rather than rotting unnoticed.
 BENCH_SAMPLES=1 BENCH_WARMUP=0 cargo bench --offline -p snic-bench --bench primitives
 
-echo "ci.sh: build + tests + fmt + clippy + cluster goldens + bench smokes all green (offline)"
+echo "ci.sh: build + tests + fmt + clippy + cluster goldens + oracle props + bench smokes all green (offline)"

@@ -1,10 +1,10 @@
 //! `snic-bench` — benchmark harness regenerating every table and figure.
 //!
-//! Each paper artifact has a binary (`src/bin/fig*.rs`, `table3_*.rs`)
-//! that prints the regenerated series as an aligned table and as CSV;
-//! `run_all` emits everything. The in-tree [`timing`] benches
-//! (`benches/`) cover the simulator primitives, one point of each
-//! figure, and the ablations flagged in DESIGN.md §7.
+//! `run_all` regenerates every paper artifact, printing each series as
+//! an aligned table and as CSV (`--only <job>` for one artifact). The
+//! in-tree [`timing`] benches (`benches/`) cover the simulator
+//! primitives, one point of each figure, and the ablations flagged in
+//! DESIGN.md §7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +21,7 @@ use snic_core::report::Table;
 /// Output directory for CSV files.
 pub const RESULTS_DIR: &str = "results";
 
-/// CLI options shared by the figure binaries.
+/// CLI options of `run_all`.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Shrink sweeps and horizons (`--quick`).
@@ -29,9 +29,9 @@ pub struct Options {
     /// Write CSV files under [`RESULTS_DIR`] (`--csv`).
     pub csv: bool,
     /// Only run jobs whose name starts with this prefix
-    /// (`--only <prefix>`; `run_all` only).
+    /// (`--only <prefix>`).
     pub only: Option<String>,
-    /// Cap concurrent experiment jobs (`--jobs N`; `run_all` only).
+    /// Cap concurrent experiment jobs (`--jobs N`).
     pub jobs: Option<usize>,
 }
 
@@ -99,7 +99,7 @@ pub fn emit(prefix: &str, tables: &[Table], opts: &Options) {
 }
 
 /// A thread-safe collector for tables produced by parallel experiment
-/// workers (scoped threads in the figure binaries), preserving a
+/// workers (`run_all`'s scoped threads), preserving a
 /// deterministic (name, index) order on drain.
 #[derive(Default)]
 pub struct TableSink {

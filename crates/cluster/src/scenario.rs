@@ -15,11 +15,11 @@ use simnet::rng::{SimRng, Zipf};
 use simnet::stats::{Histogram, LatencySummary};
 use simnet::time::{Bandwidth, Nanos, Rate};
 use snic_farmem::{FmPlacement, FmStreamSpec};
-use snic_kvstore::KeyDist;
+use snic_kvstore::{Design, KeyDist};
 use topology::ClusterSpec;
 
 use crate::fm::{FmHost, FmServer};
-use crate::kv::{KvServer, KvStreamSpec};
+use crate::kv::{KvPlacement, KvServer, KvStreamSpec};
 use crate::runtime;
 use crate::shard::Shard;
 use crate::switch::SwitchFabric;
@@ -378,8 +378,9 @@ impl ClusterResult {
 ///
 /// Panics if the scenario names a missing server, a stream references a
 /// missing client machine (or lists none for a remote path), a
-/// SmartNIC path targets a server without a SmartNIC, or a remote DPA
-/// stream is not a SEND or targets a server without a DPA plane.
+/// SmartNIC path targets a server without a SmartNIC, a remote DPA
+/// stream is not a SEND or targets a server without a DPA plane, or a
+/// KV stream pins its index on the DPA while some server lacks the plane.
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
     let n_clients = scenario.cluster.clients.len();
     let n_servers = scenario.cluster.servers.len();
@@ -388,10 +389,26 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
         "scenario targets server {} but the cluster has {n_servers}",
         scenario.server
     );
-    let has_dpa = scenario.cluster.servers[scenario.server]
-        .nic
-        .smartnic()
-        .is_some_and(|s| s.dpa.is_some());
+    let has_dpa = |j: usize| {
+        scenario.cluster.servers[j]
+            .nic
+            .smartnic()
+            .is_some_and(|s| s.dpa.is_some())
+    };
+    // A pinned DPA placement serves every get on the plane of the key's
+    // home server, so every server needs one. (Online placement picks
+    // the DPA only where the advisor sees DPA capacity.)
+    for stream in streams {
+        let Some(spec) = stream.kv else { continue };
+        if matches!(spec.placement, KvPlacement::Static(Design::DpaHandler)) {
+            if let Some(j) = (0..n_servers).find(|&j| !has_dpa(j)) {
+                panic!(
+                    "KV stream '{}' pins its index on the DPA, but server {j} has no DPA plane",
+                    stream.label
+                );
+            }
+        }
+    }
     for stream in streams.iter().filter(|s| s.dpa && s.path.is_remote()) {
         assert!(
             stream.verb == Verb::Send,
@@ -400,9 +417,10 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
             stream.verb.label()
         );
         assert!(
-            has_dpa,
+            has_dpa(scenario.server),
             "DPA stream '{}' targets server {}, which has no DPA plane",
-            stream.label, scenario.server
+            stream.label,
+            scenario.server
         );
     }
     let server_shard = n_clients + scenario.server;
@@ -670,7 +688,7 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     );
     set(
         "requests_completed",
-        shards.iter().map(|s| s.counters().completed).sum(),
+        results.iter().map(|r| r.completions).sum(),
     );
     set(
         "posts_deferred",
@@ -734,11 +752,8 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
             .map(|q| q.dropped_deadline())
             .sum(),
     );
-    for (si, _) in streams.iter().enumerate() {
-        set(
-            &format!("stream{si:02}_completed"),
-            shards.iter().map(|s| s.agg(si).ops).sum(),
-        );
+    for (si, r) in results.iter().enumerate() {
+        set(&format!("stream{si:02}_completed"), r.completions);
     }
     if shards.iter().any(|s| s.kv().is_some()) {
         let kv_sum =
@@ -802,8 +817,8 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{advisor_policy, KvPlacement};
-    use snic_kvstore::{Design, KeyDist, Mix};
+    use crate::kv::advisor_policy;
+    use snic_kvstore::Mix;
     use topology::MachineSpec;
 
     fn tiny() -> ClusterScenario {
@@ -1088,6 +1103,18 @@ mod tests {
     #[should_panic(expected = "DPA stream 'SNIC(1) SEND' targets server 0, which has no DPA plane")]
     fn dpa_stream_rejects_servers_without_the_plane() {
         let st = ClusterStream::new(PathKind::Snic1, Verb::Send, 256, vec![0, 1, 2]).with_dpa();
+        run_cluster(&tiny(), &[st]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "KV stream 'kv-B' pins its index on the DPA, but server 0 has no DPA plane"
+    )]
+    fn kv_static_dpa_rejects_servers_without_the_plane() {
+        let st = ClusterStream::kv_service(
+            kv_spec(KvPlacement::Static(Design::DpaHandler)),
+            vec![0, 1, 2],
+        );
         run_cluster(&tiny(), &[st]);
     }
 

@@ -3,7 +3,7 @@
 //! One module per paper artifact (see DESIGN.md §3 for the index). Each
 //! module exposes `run(quick) -> Vec<Table>`: `quick = true` shrinks the
 //! sweep and simulated duration for tests and Criterion benches;
-//! `quick = false` runs the full paper sweep (the figure binaries).
+//! `quick = false` runs the full paper sweep (`run_all` without `--quick`).
 
 pub mod bf3_dpa;
 pub mod budget;

@@ -12,7 +12,7 @@
 //!   bottlenecks and the P-N budget, hop-sum latency), cross-validated
 //!   against the simulator;
 //! * [`advisor`] — Advice #1-#4 as a queryable API for system designers;
-//! * [`report`] — table/CSV rendering for the figure binaries.
+//! * [`report`] — table/CSV rendering for `run_all`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

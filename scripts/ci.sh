@@ -14,26 +14,30 @@ cargo test -q --workspace --offline
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# The cluster runtime's simulated output is pinned byte for byte: six
+# The cluster runtime's simulated output is pinned byte for byte: eight
 # rack scenarios — fault-free, with the fault plane active, under
 # open-loop arrival chains, with the KV service's online advisor
 # re-placing the index, with the far-memory tier promoting/demoting
-# pages, AND with the BF-3 DPA plane serving gets — each compare their
-# CSV and full metrics registry against a golden under tests/golden/.
-# Run the six by name and refuse a run where the filter silently matched
-# anything else (a rename would otherwise turn the gate into a no-op).
+# pages, with the BF-3 DPA plane serving gets, with every closed-loop
+# serving arm (one-sided KV chains, remote far memory, DPA and plain
+# SENDs), AND with every path-3 retry loop under PCIe corruption — each
+# compare their CSV and full metrics registry against a golden under
+# tests/golden/. Run the eight by name and refuse a run where the filter
+# silently matched anything else (a rename would otherwise turn the gate
+# into a no-op).
 det_out=$(cargo test --release --offline -p offpath-smartnic --test determinism \
     cluster_golden_ 2>&1) || {
     echo "$det_out"
     echo "ci.sh: cluster golden tests FAILED" >&2
     exit 1
 }
-if ! grep -q "6 passed" <<<"$det_out"; then
+if ! grep -q "8 passed" <<<"$det_out"; then
     echo "$det_out"
     echo "ci.sh: expected exactly cluster_golden_mixed_paths +" \
         "cluster_golden_with_faults + cluster_golden_openloop +" \
         "cluster_golden_kv + cluster_golden_farmem +" \
-        "cluster_golden_dpa (filtered out or renamed?)" >&2
+        "cluster_golden_dpa + cluster_golden_closed_services +" \
+        "cluster_golden_path3_faults (filtered out or renamed?)" >&2
     exit 1
 fi
 

@@ -37,7 +37,7 @@ fn scenario_bit_identical_across_runs() {
     assert_eq!(a.counters.total_tlps(), b.counters.total_tlps());
 }
 
-/// Renders a scenario result exactly as the figure binaries do (a
+/// Renders a scenario result exactly as `run_all` does (a
 /// [`Table`] serialized to CSV), down to every formatted digit.
 fn result_csv(r: &ScenarioResult) -> String {
     let mut t = Table::new(
@@ -474,4 +474,82 @@ fn cluster_golden_dpa() {
     );
     assert_eq!(count(&r, "kv_dpa_gets"), count(&r, "dpa_served"));
     assert_golden(&r, "cluster_dpa");
+}
+
+#[test]
+fn cluster_golden_closed_services() {
+    // The closed-loop serving arms: KV gets answered one-sidedly (the
+    // client drives the probe chain with its own READs), remote
+    // far-memory promotions and write-backs, a generic SEND stream
+    // terminating on the DPA plane, and a plain two-sided SEND stream.
+    use offpath_smartnic::cluster::{KvPlacement, KvStreamSpec};
+    use offpath_smartnic::farmem::{FmPlacement, FmStreamSpec};
+    use offpath_smartnic::kvstore::{Design, KeyDist, Mix};
+    use offpath_smartnic::topology::MachineSpec;
+
+    let mut sc = six_clients(31);
+    let n = sc.cluster.servers.len();
+    sc.cluster.servers = vec![MachineSpec::srv_with_bluefield3_dpa(); n];
+    let kv = KvStreamSpec::new(
+        Mix::B,
+        KeyDist::Zipf(0.99),
+        KvPlacement::Static(Design::OneSidedSnic),
+    );
+    let streams = [
+        ClusterStream::kv_service(kv, vec![0, 1]),
+        ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::RemoteSoc), vec![2, 3]),
+        ClusterStream::new(PathKind::Snic1, Verb::Send, 256, vec![4])
+            .with_dpa()
+            .with_range(1 << 16),
+        ClusterStream::new(PathKind::Snic2, Verb::Send, 512, vec![5]),
+    ];
+    let r = run_cluster(&sc, &streams);
+    assert!(count(&r, "kv_probe_trips") > 0, "no one-sided trip ran");
+    assert!(count(&r, "fm_put_acks") > 0, "no write-back was acked");
+    assert!(count(&r, "dpa_served") > 0, "the DPA plane served nothing");
+    assert!(
+        r.streams.iter().all(|s| s.completions > 0),
+        "a stream never completed"
+    );
+    assert_golden(&r, "cluster_closed_services");
+}
+
+#[test]
+fn cluster_golden_path3_faults() {
+    // Every path-3 retry loop under stochastic PCIe corruption: KV gets
+    // served by the SoC index, local far-memory promotions, a closed
+    // raw path-3 stream, and an open raw path-3 stream beside them.
+    use offpath_smartnic::cluster::{KvPlacement, KvStreamSpec};
+    use offpath_smartnic::farmem::{FmPlacement, FmStreamSpec};
+    use offpath_smartnic::kvstore::{Design, KeyDist, Mix};
+    use offpath_smartnic::simnet::arrivals::OpenLoopSpec;
+    use offpath_smartnic::simnet::faults::FaultSpec;
+
+    let faults = FaultSpec::none().with_seed(5).with_pcie_corrupt(0.02);
+    let kv = KvStreamSpec::new(
+        Mix::B,
+        KeyDist::Uniform,
+        KvPlacement::Static(Design::SocIndex),
+    );
+    let streams = [
+        ClusterStream::kv_service(kv, vec![0, 1, 2]),
+        ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::LocalSoc), vec![]),
+        ClusterStream::new(PathKind::Snic3S2H, Verb::Write, 2048, vec![]),
+        ClusterStream::new(PathKind::Snic3H2S, Verb::Read, 1024, vec![])
+            .open_loop(OpenLoopSpec::poisson(2.0e6)),
+    ];
+    let r = run_cluster(&six_clients(37).with_faults(faults), &streams);
+    assert!(count(&r, "kv_path3_retries") > 0, "no KV path-3 retry");
+    assert!(
+        count(&r, "fm_path3_retries") > 0,
+        "no far-memory path-3 retry"
+    );
+    assert!(count(&r, "rc_retransmits") > 0, "no raw path-3 retry");
+    assert_eq!(
+        count(&r, "openloop_generated"),
+        count(&r, "openloop_completed")
+            + count(&r, "openloop_dropped")
+            + count(&r, "openloop_inflight")
+    );
+    assert_golden(&r, "cluster_path3_faults");
 }

@@ -5,55 +5,99 @@
 //! `BENCH_SAMPLES` / `BENCH_WARMUP`.
 
 use memsys::{DramSim, DramSpec, LlcSim, LlcSpec, MemOp, MemSystem};
-use simnet::engine::{BaselineEngine, Engine, Step};
+use simnet::engine::{Engine, Step};
 use simnet::rng::SimRng;
 use simnet::stats::Histogram;
 use simnet::time::Nanos;
 use snic_bench::timing::Bench;
 use snic_kvstore::index::HashIndex;
 
-/// The same series on both engines, so the wheel/heap delta is visible
-/// in one run. `dense` is a burst drain; `shardlike` mimics a cluster
-/// shard: a pool of far-out timeouts parked while the hot path pops one
-/// near-term event at a time, each pop rescheduling a successor.
-macro_rules! engine_series {
-    ($b:expr, $tag:literal, $eng:ty) => {
-        $b.run(concat!("engine/", $tag, "/dense_10k"), || {
-            let mut eng: $eng = <$eng>::new();
-            for i in 0..10_000u32 {
-                eng.schedule(Nanos::new((i as u64 * 37) % 5000), i).unwrap();
-            }
-            let mut n = 0;
-            eng.run(|_, _, _| {
-                n += 1;
-                Step::Continue
-            });
-            n
-        });
-        $b.run(concat!("engine/", $tag, "/shardlike_10k"), || {
-            let mut eng: $eng = <$eng>::new();
-            for i in 0..200u32 {
-                eng.schedule(Nanos::new(100_000 + i as u64), i).unwrap();
-            }
-            eng.schedule(Nanos::new(1), 999).unwrap();
-            let mut n = 0u64;
-            while n < 10_000 {
-                let (now, _) = eng.pop().unwrap();
-                let _ = eng.peek_time();
-                eng.schedule(now + Nanos::new(450), 999).unwrap();
-                if n % 16 == 0 {
-                    eng.schedule(now + Nanos::new(100_000), 7).unwrap();
-                }
-                n += 1;
-            }
-            n
-        });
-    };
-}
+/// Shard engines in the Table-2 rack: one per machine.
+const RACK_ENGINES: usize = 23;
+/// Standing events per rack engine: between the mean pending counts of
+/// the 23-machine rack at seed 1, 2.1 on `rack_services` and 176 on
+/// `rack_verbs`.
+const RACK_DEPTH: usize = 16;
+/// Epoch length that visits each rack engine for about three pops.
+const RACK_EPOCH_NS: u64 = 400;
 
+/// `dense` is a burst drain of one engine; `shardlike` mimics one shard:
+/// a pool of far-out timeouts parked while the hot path pops one
+/// near-term event at a time, each pop rescheduling a successor.
+/// `rack_interleaved` is the rack's own traffic: 23 engines holding
+/// 80-byte events (the size of the cluster shard's event) visited
+/// round-robin each epoch, so every engine is cold when its turn comes;
+/// each visit peeks and pops up to the epoch deadline, and each pop
+/// schedules a successor 450 ns-4 us ahead (the rack schedules 1.0 event
+/// per pop in steady state).
 fn bench_engine(b: &Bench) {
-    engine_series!(b, "wheel", Engine<u32>);
-    engine_series!(b, "heap", BaselineEngine<u32>);
+    b.run("engine/dense_10k", || {
+        let mut eng: Engine<u32> = Engine::new();
+        for i in 0..10_000u32 {
+            eng.schedule(Nanos::new((i as u64 * 37) % 5000), i).unwrap();
+        }
+        let mut n = 0;
+        eng.run(|_, _, _| {
+            n += 1;
+            Step::Continue
+        });
+        n
+    });
+    b.run("engine/shardlike_10k", || {
+        let mut eng: Engine<u32> = Engine::new();
+        for i in 0..200u32 {
+            eng.schedule(Nanos::new(100_000 + i as u64), i).unwrap();
+        }
+        eng.schedule(Nanos::new(1), 999).unwrap();
+        let mut n = 0u64;
+        while n < 10_000 {
+            let (now, _) = eng.pop().unwrap();
+            let _ = eng.peek_time();
+            eng.schedule(now + Nanos::new(450), 999).unwrap();
+            if n.is_multiple_of(16) {
+                eng.schedule(now + Nanos::new(100_000), 7).unwrap();
+            }
+            n += 1;
+        }
+        n
+    });
+    let mut rng = SimRng::seed(1);
+    let delays: Vec<Nanos> = (0..4096)
+        .map(|_| Nanos::new(450 + rng.uniform_u64(3551)))
+        .collect();
+    b.run_batched(
+        "engine/rack_interleaved",
+        || {
+            let mut next = 0;
+            (0..RACK_ENGINES)
+                .map(|e| {
+                    let mut eng: Engine<[u64; 10]> = Engine::new();
+                    for i in 0..RACK_DEPTH {
+                        next = (next + 1) % delays.len();
+                        eng.schedule(delays[next], [(e * RACK_DEPTH + i) as u64; 10])
+                            .unwrap();
+                    }
+                    eng
+                })
+                .collect::<Vec<_>>()
+        },
+        |mut rack| {
+            let (mut pops, mut next, mut deadline) = (0usize, 0usize, Nanos::ZERO);
+            while pops < 10_000 {
+                deadline += Nanos::new(RACK_EPOCH_NS);
+                for eng in &mut rack {
+                    eng.run_until(deadline, |eng, now, mut ev| {
+                        ev[0] += 1;
+                        next = (next + 1) % delays.len();
+                        eng.schedule(now + delays[next], ev).unwrap();
+                        pops += 1;
+                        Step::Continue
+                    });
+                }
+            }
+            pops
+        },
+    );
 }
 
 fn bench_dram(b: &Bench) {

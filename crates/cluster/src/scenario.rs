@@ -376,14 +376,24 @@ impl ClusterResult {
 ///
 /// # Panics
 ///
-/// Panics if the scenario names a missing server, a stream references a
-/// missing client machine (or lists none for a remote path), a
-/// SmartNIC path targets a server without a SmartNIC, a remote DPA
-/// stream is not a SEND or targets a server without a DPA plane, or a
-/// KV stream pins its index on the DPA while some server lacks the plane.
+/// Panics if the warmup exceeds the duration, the scenario names a
+/// missing server, a stream references a missing client machine (or
+/// lists none for a remote path), a SmartNIC path targets a server
+/// without a SmartNIC, a remote DPA stream is not a SEND or targets a
+/// server without a DPA plane, or a KV stream pins its index on the DPA
+/// while some server lacks the plane.
 pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> ClusterResult {
     let n_clients = scenario.cluster.clients.len();
     let n_servers = scenario.cluster.servers.len();
+    // A warmup equal to the duration is accepted and measures an empty
+    // window.
+    assert!(
+        scenario.warmup <= scenario.duration,
+        "warmup {} exceeds duration {}",
+        scenario.warmup,
+        scenario.duration
+    );
+    let window = scenario.duration - scenario.warmup;
     assert!(
         scenario.server < n_servers,
         "scenario targets server {} but the cluster has {n_servers}",
@@ -636,7 +646,6 @@ pub fn run_cluster(scenario: &ClusterScenario, streams: &[ClusterStream]) -> Clu
     let epochs = runtime::drive(&mut shards, &mut switch, scenario.duration);
 
     // Merge per-stream aggregates and counters in shard-index order.
-    let window = scenario.duration - scenario.warmup;
     let wsecs = window.as_secs_f64();
     let results: Vec<ClusterStreamResult> = streams
         .iter()
@@ -1082,6 +1091,32 @@ mod tests {
     #[should_panic(expected = "local far memory")]
     fn local_farmem_rejects_clients() {
         let _ = ClusterStream::fm_service(FmStreamSpec::new(FmPlacement::LocalSoc), vec![0]);
+    }
+
+    /// The paper testbed at seed 1 measuring from `warmup` to `duration`
+    /// (in µs), with a 4-client SNIC(1) READ 64 B stream.
+    fn run_window(warmup: u64, duration: u64) -> ClusterResult {
+        let mut sc = ClusterScenario::paper_testbed().with_seed(1);
+        sc.warmup = Nanos::from_micros(warmup);
+        sc.duration = Nanos::from_micros(duration);
+        let st = ClusterStream::new(PathKind::Snic1, Verb::Read, 64, vec![0, 1, 2, 3]);
+        run_cluster(&sc, &[st])
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup 300.000us exceeds duration 200.000us")]
+    fn warmup_past_duration_is_rejected() {
+        // Regression: the window `duration - warmup` used to be taken
+        // only after the whole run, wrapping in release builds into an
+        // all-zero result.
+        run_window(300, 200);
+    }
+
+    #[test]
+    fn warmup_equal_to_duration_measures_an_empty_window() {
+        let r = run_window(200, 200);
+        assert_eq!(r.window, Nanos::ZERO);
+        assert_eq!(r.streams[0].completions, 0);
     }
 
     #[test]

@@ -430,12 +430,30 @@ struct Ev {
     thread: usize,
 }
 
+/// The measured window `duration - warmup`, checked before anything is
+/// simulated. A warmup equal to the duration is accepted and measures an
+/// empty window.
+///
+/// # Panics
+///
+/// Panics if the warmup exceeds the duration.
+fn measured_window(scenario: &Scenario) -> Nanos {
+    assert!(
+        scenario.warmup <= scenario.duration,
+        "warmup {} exceeds duration {}",
+        scenario.warmup,
+        scenario.duration
+    );
+    scenario.duration - scenario.warmup
+}
+
 /// Runs `streams` concurrently under `scenario`.
 ///
 /// # Panics
 ///
-/// Panics if a stream references a missing client machine, or a SmartNIC
-/// path is run against the RNIC server.
+/// Panics if the warmup exceeds the duration, a stream references a
+/// missing client machine, or a SmartNIC path is run against the RNIC
+/// server.
 pub fn run_scenario(scenario: &Scenario, streams: &[StreamSpec]) -> ScenarioResult {
     run_scenario_detailed(scenario, streams).0
 }
@@ -446,6 +464,7 @@ pub fn run_scenario_detailed(
     scenario: &Scenario,
     streams: &[StreamSpec],
 ) -> (ScenarioResult, Fabric) {
+    let window = measured_window(scenario);
     let mut fabric = match scenario.server {
         ServerKind::Bluefield => Fabric::bluefield_testbed(scenario.n_clients),
         ServerKind::Rnic => Fabric::rnic_testbed(scenario.n_clients),
@@ -739,7 +758,6 @@ pub fn run_scenario_detailed(
     });
 
     let counters = fabric.server.counters().delta_since(&snap);
-    let window = scenario.duration - scenario.warmup;
     let wsecs = window.as_secs_f64();
     let breakdown = if metrics_on {
         states
@@ -960,9 +978,10 @@ pub struct OpenLoopResult {
 ///
 /// # Panics
 ///
-/// Panics if a remote-path stream runs with `scenario.n_clients == 0`,
-/// or on an invalid arrival spec.
+/// Panics if the warmup exceeds the duration, a remote-path stream runs
+/// with `scenario.n_clients == 0`, or on an invalid arrival spec.
 pub fn run_open_loop(scenario: &Scenario, streams: &[OpenStreamSpec]) -> OpenLoopResult {
+    let window = measured_window(scenario);
     let mut fabric = match scenario.server {
         ServerKind::Bluefield => Fabric::bluefield_testbed(scenario.n_clients),
         ServerKind::Rnic => Fabric::rnic_testbed(scenario.n_clients),
@@ -1076,7 +1095,6 @@ pub fn run_open_loop(scenario: &Scenario, streams: &[OpenStreamSpec]) -> OpenLoo
         Step::Continue
     });
 
-    let window = scenario.duration - scenario.warmup;
     let wsecs = window.as_secs_f64();
     OpenLoopResult {
         streams: states
@@ -1174,6 +1192,48 @@ mod tests {
     fn zero_payload_supported() {
         let r = measure_throughput(PathKind::Snic1, Verb::Read, 0);
         assert!(r.ops.as_mops() > 50.0, "0B rate {}", r.ops);
+    }
+
+    /// The default scenario measuring from `warmup` to `duration` (µs).
+    fn window_scenario(warmup: u64, duration: u64) -> Scenario {
+        Scenario {
+            warmup: Nanos::from_micros(warmup),
+            duration: Nanos::from_micros(duration),
+            ..Scenario::default()
+        }
+    }
+
+    fn open_read() -> OpenStreamSpec {
+        OpenStreamSpec::new(
+            PathKind::Snic1,
+            Verb::Read,
+            64,
+            OpenLoopSpec::poisson(2.0e6),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup 300.000us exceeds duration 200.000us")]
+    fn closed_loop_rejects_warmup_past_duration() {
+        let spec = StreamSpec::new(PathKind::Snic1, Verb::Read, 64, 4);
+        run_scenario_detailed(&window_scenario(300, 200), &[spec]);
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup 300.000us exceeds duration 200.000us")]
+    fn open_loop_rejects_warmup_past_duration() {
+        run_open_loop(&window_scenario(300, 200), &[open_read()]);
+    }
+
+    #[test]
+    fn warmup_equal_to_duration_measures_an_empty_window() {
+        let spec = StreamSpec::new(PathKind::Snic1, Verb::Read, 64, 4);
+        let r = run_scenario(&window_scenario(200, 200), &[spec]);
+        assert_eq!(r.window, Nanos::ZERO);
+        assert_eq!(r.streams[0].latency.count, 0);
+        let r = run_open_loop(&window_scenario(200, 200), &[open_read()]);
+        assert_eq!(r.window, Nanos::ZERO);
+        assert_eq!(r.streams[0].latency.count, 0);
     }
 
     #[test]

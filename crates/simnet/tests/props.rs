@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation-engine invariants (in-tree
 //! `simnet::prop` harness; failures print a reproducing `PROP_SEED`).
 
-use simnet::engine::{BaselineEngine, Engine, Step};
+use simnet::engine::{Engine, ScheduleError, Step};
 use simnet::prop::check;
 use simnet::resource::{Dir, DuplexPipe, Pipe};
 use simnet::rng::SimRng;
@@ -156,90 +156,157 @@ fn histogram_percentile_tracks_exact() {
     });
 }
 
-/// The timing-wheel [`Engine`] and the original heap [`BaselineEngine`]
-/// deliver identical `(at, seq, event)` streams over randomized
-/// schedules — including same-instant FIFO ties, schedule-at-now during
-/// a drain, read-only peeks past a deadline (the cluster epoch pattern:
-/// peek far ahead, then schedule *earlier* cross-shard arrivals), and
-/// far-future deliveries that park in the wheel's overflow heap.
+/// Reference scheduler for [`engine_matches_sorted_reference`]: a `Vec`
+/// kept sorted by *descending* `(at, seq)`, so the next delivery is the
+/// last element.
+struct SortedRef {
+    queue: Vec<(Nanos, u64, u32)>,
+    now: Nanos,
+    seq: u64,
+    delivered: u64,
+}
+
+impl SortedRef {
+    fn schedule(&mut self, at: Nanos, id: u32) -> Result<(), ScheduleError> {
+        if at < self.now {
+            return Err(ScheduleError::Past { now: self.now, at });
+        }
+        let key = (at, self.seq);
+        let pos = self.queue.partition_point(|&(t, s, _)| (t, s) > key);
+        self.queue.insert(pos, (at, self.seq, id));
+        self.seq += 1;
+        Ok(())
+    }
+
+    fn schedule_in(&mut self, delay: Nanos, id: u32) -> Result<(), ScheduleError> {
+        match self.now.checked_add(delay) {
+            Some(at) => self.schedule(at, id),
+            None => Err(ScheduleError::Overflow {
+                now: self.now,
+                delay,
+            }),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(Nanos, u32)> {
+        let (at, _, id) = self.queue.pop()?;
+        self.now = at;
+        self.delivered += 1;
+        Some((at, id))
+    }
+
+    fn peek_time(&self) -> Option<Nanos> {
+        self.queue.last().map(|&(at, _, _)| at)
+    }
+}
+
+/// The [`Engine`] agrees with a plain sorted-`Vec` reference on every
+/// pop, peek, clock reading, pending/delivered count and schedule verdict
+/// over randomized schedules — including same-instant FIFO ties,
+/// schedule-at-now during a drain, read-only peeks past a deadline
+/// followed by *earlier* schedules (the cluster runtime's delivery
+/// pattern), delays up to 2^50 ns, and `Past`/`Overflow` rejections.
 #[test]
-fn wheel_engine_matches_baseline_heap() {
-    check("wheel_engine_matches_baseline_heap", |g| {
-        let mut wheel: Engine<u32> = Engine::new();
-        let mut base: BaselineEngine<u32> = BaselineEngine::new();
+fn engine_matches_sorted_reference() {
+    check("engine_matches_sorted_reference", |g| {
+        let mut eng: Engine<u32> = Engine::new();
+        let mut rf = SortedRef {
+            queue: Vec::new(),
+            now: Nanos::ZERO,
+            seq: 0,
+            delivered: 0,
+        };
         let mut next_id: u32 = 0;
-        // Delay magnitudes spanning every wheel level plus the overflow
-        // horizon (64^8 ns), with frequent small values for dense ties.
+        // Log-uniform delay magnitudes up to 2^50 ns, with frequent small
+        // values for dense same-instant ties.
         let delay = |g: &mut simnet::prop::Gen| -> u64 {
             let exp = g.u32(0..51);
             g.u64(0..(1u64 << exp).max(2))
         };
-        let schedule_both =
-            |wheel: &mut Engine<u32>, base: &mut BaselineEngine<u32>, at: Nanos, id: u32| {
-                let a = wheel.schedule(at, id);
-                let b = base.schedule(at, id);
-                assert_eq!(a, b, "schedule verdicts diverged at {at}");
+        macro_rules! both {
+            ($call:ident($arg:expr)) => {{
+                let arg = $arg;
+                let verdict = eng.$call(arg, next_id);
+                prop_assert_eq!(
+                    verdict,
+                    rf.$call(arg, next_id),
+                    "{} verdicts diverged",
+                    stringify!($call)
+                );
+                next_id += 1;
+            }};
+        }
+        macro_rules! same_state {
+            () => {
+                prop_assert_eq!(eng.now(), rf.now, "clocks diverged");
+                prop_assert_eq!(eng.pending(), rf.queue.len(), "pending diverged");
+                prop_assert_eq!(eng.delivered(), rf.delivered, "delivered diverged");
             };
+        }
         // Initial burst from t = 0.
         for _ in 0..g.usize(1..48) {
-            let at = Nanos::new(delay(g));
-            schedule_both(&mut wheel, &mut base, at, next_id);
-            next_id += 1;
+            both!(schedule(Nanos::new(delay(g))));
         }
-        // Epochs: drain up to a deadline in lockstep, comparing every
-        // peek and every pop; reschedule mid-drain; then (like the
-        // cluster barrier) inject events earlier than the peeked future.
+        // Epochs: drain up to a deadline comparing every peek and pop,
+        // reschedule mid-drain, then (like the cluster runtime) inject
+        // events earlier than the peeked future and probe rejections.
         let epochs = g.usize(2..8);
         for epoch in 0..=epochs {
-            let final_epoch = epoch == epochs;
-            let deadline = if final_epoch {
+            let deadline = if epoch == epochs {
                 Nanos::MAX
             } else {
-                wheel.now() + Nanos::new(g.u64(0..200_000))
+                let span = Nanos::new(g.u64(0..200_000));
+                eng.now().checked_add(span).unwrap_or(Nanos::MAX)
             };
             loop {
-                let (pw, pb) = (wheel.peek_time(), base.peek_time());
-                prop_assert_eq!(pw, pb, "peek diverged");
-                match pw {
+                let peek = eng.peek_time();
+                prop_assert_eq!(peek, rf.peek_time(), "peek diverged");
+                match peek {
                     None => break,
                     Some(t) if t > deadline => break,
                     Some(_) => {}
                 }
-                let (ew, eb) = (wheel.pop(), base.pop());
-                prop_assert_eq!(ew, eb, "pop diverged");
-                let (now, _) = ew.expect("peek said an event was due");
+                let popped = eng.pop();
+                prop_assert_eq!(popped, rf.pop(), "pop diverged");
+                same_state!();
+                let (now, _) = popped.expect("peek said an event was due");
                 if next_id < 4096 && g.f64_unit() < 0.4 {
                     // Follow-up work, sometimes at exactly `now` (the
                     // FIFO-across-schedule-at-now case).
-                    let at = if g.f64_unit() < 0.35 {
-                        now
+                    if g.f64_unit() < 0.35 {
+                        both!(schedule(now));
                     } else {
-                        now.checked_add(Nanos::new(delay(g))).unwrap_or(now)
-                    };
-                    schedule_both(&mut wheel, &mut base, at, next_id);
-                    next_id += 1;
+                        both!(schedule_in(Nanos::new(delay(g))));
+                    }
                 }
             }
-            prop_assert_eq!(wheel.now(), base.now(), "clocks diverged");
-            prop_assert_eq!(wheel.pending(), base.pending());
+            same_state!();
             // Cross-epoch injection: delivery times at or after `now`,
             // typically *before* whatever the deadline peek saw.
             for _ in 0..g.usize(0..6) {
-                let at = wheel.now() + Nanos::new(delay(g) >> 1);
-                schedule_both(&mut wheel, &mut base, at, next_id);
-                next_id += 1;
+                both!(schedule_in(Nanos::new(delay(g) >> 1)));
             }
+            // Rejections: a time before the clock, and a delay that
+            // overflows (or, from t = 0, exactly reaches) `Nanos::MAX`.
+            if eng.now() > Nanos::ZERO {
+                both!(schedule(Nanos::new(g.u64(0..eng.now().as_nanos()))));
+            }
+            if g.f64_unit() < 0.3 {
+                let back = g.u64(0..2);
+                both!(schedule_in(Nanos::new(Nanos::MAX.as_nanos() - back)));
+            }
+            same_state!();
         }
         // Drain the cross-epoch tail injected after the final epoch.
         loop {
-            let (ew, eb) = (wheel.pop(), base.pop());
-            prop_assert_eq!(ew, eb, "tail pop diverged");
-            if ew.is_none() {
+            let popped = eng.pop();
+            prop_assert_eq!(popped, rf.pop(), "tail pop diverged");
+            same_state!();
+            if popped.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(wheel.delivered(), base.delivered());
-        prop_assert_eq!(wheel.pending(), 0);
+        prop_assert_eq!(eng.pending(), 0);
         Ok(())
     });
 }

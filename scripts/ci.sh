@@ -42,10 +42,11 @@ if ! grep -q "8 passed" <<<"$det_out"; then
 fi
 
 # The memory-model fast paths (the LLC's ring-ordered sets and repeat
-# range, the DRAM walk's hoisted channel loop) and the merge's key-only
-# heap are exact only if they agree with their reference models on every
-# input. Rerun those property tests over 2000 cases each, and refuse a
-# run where the filters matched fewer tests than expected.
+# range, the DRAM walk's hoisted channel loop), the merge's key-only
+# heap and the event engine's heap are exact only if they agree with
+# their reference models on every input. Rerun those property tests over
+# 2000 cases each, and refuse a run where the filters matched fewer
+# tests than expected.
 prop_gate() {
     local want=$1
     shift
@@ -64,6 +65,7 @@ prop_gate() {
 prop_gate 6 -p memsys --lib -- llc::tests::paged_tags_match_baseline \
     dram::tests::access_matches_reference
 prop_gate 1 -p snic-cluster --lib -- runtime::tests::slab_recycles
+prop_gate 1 -p simnet --test props -- engine_matches_sorted_reference
 
 # Smoke the cluster runtime end to end through its example, and the
 # fault-injection, open-loop, KV-service, far-memory and BF-3 DPA
